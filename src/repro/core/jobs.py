@@ -24,11 +24,17 @@ module turns that fan-out into an explicit job layer:
   :class:`repro.core.resilience.SweepCheckpoint` journal so a killed
   sweep resumes instead of restarting.
 
-Results are *always* materialized from the serialized payload — whether
-they came from the simulator, a worker process, or the cache — so serial,
-parallel, warm-cache, and failure-recovered runs are bitwise-identical
-by construction (proven by ``tests/test_resilience.py`` under injected
-crashes, hangs, SIGKILLs, and corrupted cache entries).
+A task is keyed once: :meth:`SimTask.key` and :func:`estimate_key` hash
+the canonical JSON of their signature document, spliced from memoized
+per-network, per-config, and per-library texts, and a caller that holds
+the keys already (a lowered plan) hands them to :meth:`JobRunner.run`.
+A payload is encoded only at a cache or process boundary — a cache
+write, or a result coming back from a worker — and decoded once on the
+other side; an in-process simulation is returned as it was computed.
+The codec round trip is exact, so serial, parallel, warm-cache, and
+failure-recovered runs are bitwise-identical (proven by
+``tests/test_resilience.py`` under injected crashes, hangs, SIGKILLs,
+and corrupted cache entries).
 
 The runner is ambient: library code calls :func:`get_runner` (a shared
 serial, cache-less default) and the CLI / API install a configured one
@@ -46,18 +52,22 @@ metrics registry (``jobs.cache.hits``, ``jobs.cache.misses``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import shutil
 import tempfile
+import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
@@ -88,10 +98,29 @@ QUARANTINE_DIR = "quarantine"
 
 # -- stable content hashing ------------------------------------------------
 
+def _canonical_json(document: Any) -> str:
+    """The canonical sorted-key, separator-free JSON text of ``document``."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _canonical_hash(document: Any) -> str:
     """sha256 (hex) of the canonical sorted-key JSON of ``document``."""
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest(_canonical_json(document))
+
+
+def _canonical_object(members: Dict[str, str]) -> str:
+    """Canonical JSON of an object whose member values are canonical JSON.
+
+    Sorted-key JSON renders a nested object exactly as it renders it on
+    its own, so memoized member texts splice in byte for byte: the result
+    equals :func:`_canonical_json` of the whole document.
+    """
+    return "{" + ",".join(f"{json.dumps(name)}:{members[name]}"
+                          for name in sorted(members)) + "}"
 
 
 #: Technology fields whose *default* values are omitted from config
@@ -135,6 +164,65 @@ def library_fingerprint(library: CellLibrary) -> Dict[str, Any]:
     }
 
 
+class _SignatureText:
+    """Memo: an object's signature, rendered as canonical JSON.
+
+    An object is looked up by identity first, through a weak reference,
+    so an entry lives exactly as long as its object.  When ``value_key``
+    is given (the frozen-dataclass configs and networks), a miss is then
+    looked up by value, so the equal networks and configs that every plan
+    builds afresh share one rendering.  Dataclass equality holds ``300 ==
+    300.0`` although the two render differently, so the value key also
+    carries every field's type.  The value table keeps at most ``size``
+    entries, dropping the oldest first.  Thread-safe: the serve daemon
+    keys tasks from a thread pool.
+    """
+
+    def __init__(self, signature: Callable[[Any], Any],
+                 value_key: Optional[Callable[[Any], Any]] = None,
+                 size: int = 256) -> None:
+        self._signature = signature
+        self._value_key = value_key
+        self._size = size
+        self._by_id: Dict[int, Tuple[weakref.ref, str]] = {}
+        self._by_value: Dict[Any, str] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, source: Any) -> str:
+        with self._lock:
+            entry = self._by_id.get(id(source))
+            if entry is not None and entry[0]() is source:
+                return entry[1]
+            value_key = None if self._value_key is None else self._value_key(source)
+            text = None if value_key is None else self._by_value.get(value_key)
+            if text is None:
+                text = _canonical_json(self._signature(source))
+                if value_key is not None:
+                    if len(self._by_value) >= self._size:
+                        del self._by_value[next(iter(self._by_value))]
+                    self._by_value[value_key] = text
+            # The callback runs when ``source`` dies, before its id can be
+            # reused; it takes no lock, since collection may run inside
+            # this block.
+            ident = id(source)
+            self._by_id[ident] = (
+                weakref.ref(source, lambda _, ident=ident: self._by_id.pop(ident, None)),
+                text)
+            return text
+
+
+def _field_types(instance: Any) -> Tuple[type, ...]:
+    return tuple(map(type, vars(instance).values()))
+
+
+_config_text = _SignatureText(
+    config_signature, lambda config: (config, _field_types(config)))
+_workload_text = _SignatureText(
+    workload_signature,
+    lambda network: (network, tuple(map(_field_types, network.layers))))
+_library_text = _SignatureText(library_fingerprint)
+
+
 # -- tasks -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -166,26 +254,31 @@ class SimTask:
         return self.library or library_for(Technology.RSFQ)
 
     def key(self) -> str:
-        """Content-addressed cache key of this task."""
+        """Content-addressed cache key of this task.
+
+        The sha256 of the canonical JSON of ``{schema, kind, config
+        signature, workload signature, batch, library fingerprint}``,
+        assembled from memoized signature texts.
+        """
         library = self.resolved_library()
-        return _canonical_hash({
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": "simulate_cmos" if self.is_cmos else "simulate",
-            "config": config_signature(self.config),
-            "workload": workload_signature(self.network),
-            "batch": self.batch,
-            "library": None if library is None else library_fingerprint(library),
-        })
+        return _digest(_canonical_object({
+            "schema": _canonical_json(CACHE_SCHEMA_VERSION),
+            "kind": _canonical_json("simulate_cmos" if self.is_cmos else "simulate"),
+            "config": _config_text(self.config),
+            "workload": _workload_text(self.network),
+            "batch": _canonical_json(self.batch),
+            "library": "null" if library is None else _library_text(library),
+        }))
 
 
 def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
-    """Cache key of one architecture-level estimation."""
-    return _canonical_hash({
-        "schema": CACHE_SCHEMA_VERSION,
-        "kind": "estimate",
-        "config": config_signature(config),
-        "library": library_fingerprint(library),
-    })
+    """Cache key of one architecture-level estimation (same recipe as tasks)."""
+    return _digest(_canonical_object({
+        "schema": _canonical_json(CACHE_SCHEMA_VERSION),
+        "kind": _canonical_json("estimate"),
+        "config": _config_text(config),
+        "library": _library_text(library),
+    }))
 
 
 # -- payload codecs --------------------------------------------------------
@@ -232,12 +325,20 @@ def estimate_to_dict(estimate: NPUEstimate) -> Dict[str, Any]:
     }
 
 
+def _sorted_units(estimate: NPUEstimate) -> NPUEstimate:
+    """``estimate`` with its units in sorted-name order.
+
+    Derived sums (e.g. ``static_power_w``) fold floats in iteration
+    order, so a fresh estimate and a cache hit (JSON written with
+    sort_keys) must agree on that order to stay bitwise-identical.
+    """
+    return dataclasses.replace(
+        estimate, units={name: estimate.units[name] for name in sorted(estimate.units)})
+
+
 def estimate_from_dict(data: Dict[str, Any]) -> NPUEstimate:
     # Units materialize in sorted-name order no matter how the payload
-    # was ordered on disk: derived sums (e.g. ``static_power_w``) fold
-    # floats in iteration order, so a cache hit (JSON written with
-    # sort_keys) and a fresh estimate must agree on that order to stay
-    # bitwise-identical.
+    # was ordered on disk (see _sorted_units).
     return NPUEstimate(
         config=NPUConfig(**data["config"]),
         technology=data["technology"],
@@ -469,21 +570,24 @@ class ResultCache:
 
 # -- task execution (top-level so it pickles into worker processes) --------
 
-#: Per-worker-process memo of architecture estimates, so a worker handed
-#: many tasks for the same design computes its clock model once.
-_WORKER_ESTIMATES: Dict[str, NPUEstimate] = {}
+@functools.lru_cache(maxsize=256)
+def _estimate_memo(key: str, config: NPUConfig, library: CellLibrary) -> NPUEstimate:
+    """The architecture estimate of one design, memoized per process.
+
+    A process handed many tasks for the same design computes its clock
+    model once.  Bounded, since a long sweep keeps meeting new designs;
+    ``key`` (the exact estimate key) joins the lookup because equal
+    configs may differ in field types.
+    """
+    return estimate_npu(config, library)
 
 
 def _estimate_for(config: NPUConfig, library: CellLibrary) -> NPUEstimate:
-    key = estimate_key(config, library)
-    cached = _WORKER_ESTIMATES.get(key)
-    if cached is None:
-        cached = _WORKER_ESTIMATES[key] = estimate_npu(config, library)
-    return cached
+    return _estimate_memo(estimate_key(config, library), config, library)
 
 
-def _execute(task: SimTask) -> Tuple[Dict[str, Any], float]:
-    """Run one task; returns (serialized result payload, wall seconds)."""
+def _execute(task: SimTask) -> Tuple[SimulationResult, float]:
+    """Run one task; returns (result, wall seconds)."""
     start = time.perf_counter()
     if task.is_cmos:
         run = simulate_cmos(task.config, task.network, batch=task.batch)
@@ -493,7 +597,7 @@ def _execute(task: SimTask) -> Tuple[Dict[str, Any], float]:
             task.config, task.network, batch=task.batch,
             estimate=_estimate_for(task.config, library),
         )
-    return result_to_dict(run), time.perf_counter() - start
+    return run, time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -543,8 +647,8 @@ def _write_obs_sidecar(spec: WorkerObsSpec, key: str,
         pass  # observability must never fail the task
 
 
-def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
-                      spec: WorkerObsSpec) -> Tuple[Dict[str, Any], float]:
+def _execute_observed(task: SimTask, key: str, chaos: Optional[ChaosInjector],
+                      spec: WorkerObsSpec) -> Tuple[SimulationResult, float]:
     """Run one task under a private worker obs session + sidecar.
 
     The session is reset before and after, so the sidecar holds exactly
@@ -567,8 +671,8 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
             profiler = None
     try:
         if chaos is not None:
-            chaos.fire(task.key())
-        payload, seconds = _execute(task)
+            chaos.fire(key)
+        run, seconds = _execute(task)
         profile = profiler.stop() if profiler is not None else None
         snapshot = obs.metrics().snapshot() if spec.metrics else {}
         spans = serialize_spans(obs.tracer()) if spec.tracing else []
@@ -577,20 +681,29 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
             profiler.stop()
         obs.disable()
         obs.reset()
-    _write_obs_sidecar(spec, task.key(), snapshot.get("counters", {}), spans, profile)
-    return payload, seconds
+    _write_obs_sidecar(spec, key, snapshot.get("counters", {}), spans, profile)
+    return run, seconds
 
 
-def _execute_task(task: SimTask,
+def _execute_task(task: SimTask, key: str,
                   chaos: Optional[ChaosInjector] = None,
                   obs_spec: Optional[WorkerObsSpec] = None,
-                  ) -> Tuple[Dict[str, Any], float]:
-    """The unit submitted to workers: optional chaos, then the simulation."""
+                  ) -> Tuple[SimulationResult, float]:
+    """One task under ``key``: optional chaos, then the simulation."""
     if obs_spec is not None and obs_spec.collects_anything:
-        return _execute_observed(task, chaos, obs_spec)
+        return _execute_observed(task, key, chaos, obs_spec)
     if chaos is not None:
-        chaos.fire(task.key())
+        chaos.fire(key)
     return _execute(task)
+
+
+def _execute_in_worker(task: SimTask, key: str,
+                       chaos: Optional[ChaosInjector],
+                       obs_spec: Optional[WorkerObsSpec],
+                       ) -> Tuple[Dict[str, Any], float]:
+    """The unit submitted to pool workers: the result crosses back encoded."""
+    run, seconds = _execute_task(task, key, chaos, obs_spec)
+    return result_to_dict(run), seconds
 
 
 # -- the runner ------------------------------------------------------------
@@ -638,14 +751,28 @@ class RunnerStats:
         return line
 
 
+class RunResults(list):
+    """:meth:`JobRunner.run`'s results in task order, plus its cache hits.
+
+    ``hits`` holds the keys of the tasks the cache served.  A damaged
+    entry that was quarantined and recomputed on the way is not a hit.
+    """
+
+    def __init__(self, results: Sequence[SimulationResult], hits: FrozenSet[str]) -> None:
+        super().__init__(results)
+        self.hits = hits
+
+
 class JobRunner:
     """Executes :class:`SimTask` lists with parallelism, caching, recovery.
 
     ``jobs=1`` (the default) runs everything in-process; ``jobs > 1``
     fans cache misses out over a ``ProcessPoolExecutor``.  Task order is
-    preserved, and results are materialized from serialized payloads in
-    every mode, so the output is identical regardless of ``jobs``, cache
-    temperature, or how many failures were recovered along the way.
+    preserved, and a payload is encoded only where a result crosses a
+    boundary (a cache write or the process pool) and decoded once on the
+    other side.  The codec round trip is exact, so the output is
+    identical regardless of ``jobs``, cache temperature, or how many
+    failures were recovered along the way.
 
     Fault tolerance:
 
@@ -696,34 +823,44 @@ class JobRunner:
             self.progress.emit(kind, key=key, attempt=attempt)
 
     # -- simulations --------------------------------------------------
-    def run(self, tasks: Sequence[SimTask]) -> List[SimulationResult]:
-        """Run every task (cache-first), preserving task order."""
+    def run(self, tasks: Union[Sequence[SimTask], Mapping[str, SimTask]]) -> RunResults:
+        """Run every task (cache-first), preserving task order.
+
+        ``tasks`` is a sequence, keyed here, or a mapping from each task's
+        :meth:`SimTask.key` to the task (such as
+        :meth:`repro.core.plan.LoweredPlan.sim_tasks`), keyed already.
+        """
         started = time.perf_counter()
+        if isinstance(tasks, Mapping):
+            keys = list(tasks)
+            tasks = list(tasks.values())
+        else:
+            keys = [task.key() for task in tasks]
         if self.progress is not None:
             self.progress.begin(len(tasks))
-        keys = [task.key() for task in tasks]
-        payloads: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
+        results: List[Optional[SimulationResult]] = [None] * len(tasks)
+        hits = set()
         pending: List[int] = []
         resumed = 0
         try:
             for index, key in enumerate(keys):
-                payload = self._cached_payload(key)
-                if payload is None:
+                result = self._cached_result(key)
+                if result is None:
                     pending.append(index)
                     self._emit("queued", key)
                     continue
-                payloads[index] = payload
+                results[index] = result
+                hits.add(key)
                 self._emit("cached", key)
                 if self.checkpoint is not None and key in self.checkpoint:
                     resumed += 1
-            hits = len(tasks) - len(pending)
 
             task_seconds = 0.0
             if pending:
                 if self.jobs > 1 and len(pending) > 1:
-                    task_seconds = self._run_parallel(tasks, keys, payloads, pending)
+                    task_seconds = self._run_parallel(tasks, keys, results, pending)
                 else:
-                    task_seconds = self._run_serial(tasks, keys, payloads, pending)
+                    task_seconds = self._run_serial(tasks, keys, results, pending)
         finally:
             # Close the live line even when the sweep raises, so the
             # error message starts on a fresh line.
@@ -731,58 +868,64 @@ class JobRunner:
                 self.progress.done()
 
         elapsed = time.perf_counter() - started
-        self._account(len(tasks), hits, len(pending), task_seconds, elapsed, resumed)
-        return [result_from_dict(payload) for payload in payloads]
+        self._account(len(tasks), len(tasks) - len(pending), len(pending), task_seconds,
+                      elapsed, resumed)
+        return RunResults(results, frozenset(hits))
 
     def run_one(self, task: SimTask) -> SimulationResult:
         return self.run([task])[0]
 
     # -- cache interaction --------------------------------------------
-    def _cached_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """A materializable cached payload, or None (quarantining poison)."""
+    def _cached_result(self, key: str) -> Optional[SimulationResult]:
+        """The cached result, decoded once, or None (quarantining poison)."""
         if self.cache is None:
             return None
         payload = self.cache.get(key)
         if payload is None:
             return None
         try:
-            result_from_dict(payload)
+            return result_from_dict(payload)
         except Exception:
             # Well-formed JSON, wrong shape: poison, not a result.
             self.cache.quarantine(key, reason="poisoned-payload")
             return None
-        return payload
 
     def _finish_task(self, index: int, key: str, task: SimTask,
-                     payload: Dict[str, Any],
-                     payloads: List[Optional[Dict[str, Any]]]) -> None:
-        """Record one completed task: payload slot, cache, journal."""
-        payloads[index] = payload
+                     result: SimulationResult,
+                     results: List[Optional[SimulationResult]],
+                     payload: Optional[Dict[str, Any]] = None) -> None:
+        """Record one completed task: result slot, cache, journal.
+
+        ``payload`` is the result's encoding when it already has one (it
+        came back from a worker); otherwise a cache write encodes it here.
+        """
+        results[index] = result
         if self.cache is not None:
             kind = "simulate_cmos" if task.is_cmos else "simulate"
-            self.cache.put(key, payload, kind=kind)
+            self.cache.put(key, payload if payload is not None else result_to_dict(result),
+                           kind=kind)
         if self.checkpoint is not None:
             self.checkpoint.mark(key)
 
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
-                    payloads: List[Optional[Dict[str, Any]]],
+                    results: List[Optional[SimulationResult]],
                     pending: Sequence[int]) -> float:
         total = 0.0
         for index in pending:
             self._emit("started", keys[index])
-            payload, seconds = self._execute_with_retry(tasks[index], keys[index])
+            run, seconds = self._execute_with_retry(tasks[index], keys[index])
             total += seconds
-            self._finish_task(index, keys[index], tasks[index], payload, payloads)
+            self._finish_task(index, keys[index], tasks[index], run, results)
             self._emit("finished", keys[index])
         return total
 
     def _execute_with_retry(self, task: SimTask, key: str,
-                            failures: int = 0) -> Tuple[Dict[str, Any], float]:
+                            failures: int = 0) -> Tuple[SimulationResult, float]:
         """In-process execution under the retry policy."""
         while True:
             try:
-                return _execute_task(task, self.chaos)
+                return _execute_task(task, key, self.chaos)
             except ReproError:
                 raise  # deterministic: retrying cannot change the outcome
             except Exception as error:
@@ -800,7 +943,7 @@ class JobRunner:
 
     # -- parallel execution -------------------------------------------
     def _run_parallel(self, tasks: Sequence[SimTask], keys: List[str],
-                      payloads: List[Optional[Dict[str, Any]]],
+                      results: List[Optional[SimulationResult]],
                       pending: Sequence[int]) -> float:
         total_seconds = 0.0
         workers = min(self.jobs, len(pending))
@@ -817,19 +960,19 @@ class JobRunner:
                     while queue:
                         index, failures = queue.popleft()
                         self._emit("started", keys[index], attempt=failures)
-                        payload, seconds = self._execute_with_retry(
+                        run, seconds = self._execute_with_retry(
                             tasks[index], keys[index], failures=failures)
                         total_seconds += seconds
                         self._finish_task(index, keys[index], tasks[index],
-                                          payload, payloads)
+                                          run, results)
                         self._emit("finished", keys[index])
                         remaining -= 1
                     break
 
                 while queue and len(inflight) < workers:
                     index, failures = queue.popleft()
-                    future = pool.submit(_execute_task, tasks[index], self.chaos,
-                                         obs_spec)
+                    future = pool.submit(_execute_in_worker, tasks[index], keys[index],
+                                         self.chaos, obs_spec)
                     deadline = (time.monotonic() + self.timeout_s
                                 if self.timeout_s is not None else None)
                     inflight[future] = (index, failures, deadline)
@@ -869,7 +1012,7 @@ class JobRunner:
                     else:
                         total_seconds += seconds
                         self._finish_task(index, keys[index], tasks[index],
-                                          payload, payloads)
+                                          result_from_dict(payload), results, payload)
                         self._emit("finished", keys[index])
                         remaining -= 1
 
@@ -1018,21 +1161,29 @@ class JobRunner:
     def estimate(self, config: NPUConfig, library: Optional[CellLibrary] = None) -> NPUEstimate:
         """Architecture-level estimate, memoized in-process and on disk."""
         library = library or library_for(Technology.RSFQ)
-        key = estimate_key(config, library)
-        cached = self._estimates.get(key)
-        if cached is not None:
-            return cached
+        return self._estimate(estimate_key(config, library), config, library)[0]
+
+    def _estimate(self, key: str, config: NPUConfig,
+                  library: CellLibrary) -> Tuple[NPUEstimate, bool]:
+        """The estimate under its :func:`estimate_key`, and whether it was cached.
+
+        With a cache, an estimate this runner already holds was read from
+        or written to it, so it counts as cached.
+        """
+        estimate = self._estimates.get(key)
+        if estimate is not None:
+            return estimate, self.cache is not None
         payload = self.cache.get(key) if self.cache is not None else None
         if payload is not None:
             obs.counter("jobs.estimate_cache.hits").inc()
+            estimate = estimate_from_dict(payload)
         else:
             obs.counter("jobs.estimate_cache.misses").inc()
-            payload = estimate_to_dict(estimate_npu(config, library))
+            estimate = _sorted_units(estimate_npu(config, library))
             if self.cache is not None:
-                self.cache.put(key, payload, kind="estimate")
-        estimate = estimate_from_dict(payload)
+                self.cache.put(key, estimate_to_dict(estimate), kind="estimate")
         self._estimates[key] = estimate
-        return estimate
+        return estimate, payload is not None
 
     # -- accounting ---------------------------------------------------
     def _account(self, tasks: int, hits: int, executed: int,

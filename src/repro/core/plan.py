@@ -29,9 +29,10 @@ hand-rolling that loop, a driver now declares the grid:
   that wants ``grid.array("mac_per_s")`` instead of per-point loops.
 
 Identical tasks inside one plan are deduplicated before submission (the
-payload-materialization guarantee of the job layer makes reusing a
-result bitwise-identical to re-running it), so a plan never simulates
-the same content twice in one run.
+job layer's results are bitwise-identical however they were produced,
+so reusing a result equals re-running it), so a plan never simulates
+the same content twice in one run.  Lowering keys each task once, and
+execution hands those keys to the runner instead of re-keying.
 
 Plan activity is exported through ``repro.obs`` as the
 ``plan.points_total`` / ``plan.points_cached`` / ``plan.points_executed``
@@ -49,7 +50,8 @@ import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -396,9 +398,13 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
     """Compile a plan into ordered, content-addressed points.
 
     Deterministic by construction: the same plan content always lowers
-    to the same point order and the same task keys.
+    to the same point order and the same task keys.  Points built from
+    the same axis objects share one key computation.
     """
     points: List[PlanPoint] = []
+    # Axis values stay alive (the plan holds them) while lowering, so
+    # their ids are stable memo keys.
+    keys: Dict[Tuple[Any, ...], str] = {}
     for grid in plan.grids:
         for combo in product(*(range(len(axis.values)) for axis in grid.axes)):
             coords: List[Tuple[str, str]] = []
@@ -424,11 +430,12 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
                     params.append((axis.name, value))
             assert config is not None  # Grid validation guarantees one config axis
             if grid.kind == "estimate":
-                resolved_library = library or library_for(Technology.RSFQ)
+                memo = (id(config), id(library))
+                if memo not in keys:
+                    keys[memo] = estimate_key(config, library or library_for(Technology.RSFQ))
                 points.append(PlanPoint(
                     grid=grid.name, kind=grid.kind, index=len(points),
-                    coords=tuple(coords), config=config,
-                    key=estimate_key(config, resolved_library),
+                    coords=tuple(coords), config=config, key=keys[memo],
                     library=library, params=tuple(params),
                 ))
                 continue
@@ -438,9 +445,12 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
                 # via batch_for; nothing extra needed — batch_for reads .name.
                 pass
             task = SimTask(config, network, batch, library)
+            memo = (id(config), id(network), batch, id(library))
+            if memo not in keys:
+                keys[memo] = task.key()
             points.append(PlanPoint(
                 grid=grid.name, kind=grid.kind, index=len(points),
-                coords=tuple(coords), config=config, key=task.key(),
+                coords=tuple(coords), config=config, key=keys[memo],
                 network=network, batch=batch, library=library,
                 params=tuple(params), task=task,
             ))
@@ -585,40 +595,39 @@ def recent_plans() -> List[Tuple[str, str]]:
 def execute(plan: ExperimentPlan, runner: Optional[JobRunner] = None) -> ResultSet:
     """Lower and run a plan through the job engine.
 
-    Unique simulation tasks go to the runner as one list (so ``jobs > 1``
-    fans the entire plan out at once and every point is individually
-    cached / checkpointed); estimate points resolve through
-    ``runner.estimate``.  Returns provenance-stamped per-point results in
-    lowering order.
+    Unique simulation tasks go to the runner as one keyed mapping (so
+    ``jobs > 1`` fans the entire plan out at once and every point is
+    individually cached / checkpointed); estimate points resolve through
+    the runner's estimate memo under their lowered keys.  A point is
+    ``cached`` when the runner's cache really served it.  Returns
+    provenance-stamped per-point results in lowering order.
     """
     runner = runner or get_runner()
     lowered = lower(plan)
 
     unique_tasks = lowered.sim_tasks()
-    cache = runner.cache
-    cached_keys = set()
-    if cache is not None:
-        cached_keys = {key for key in unique_tasks if cache.path_for(key).exists()}
-
     with obs.trace_span(f"plan/{plan.name}", points=len(lowered.points),
                         hash=lowered.plan_hash[:12]):
         runs_by_key: Dict[str, SimulationResult] = {}
+        cached_keys: FrozenSet[str] = frozenset()
         if unique_tasks:
-            for key, run in zip(unique_tasks, runner.run(list(unique_tasks.values()))):
-                runs_by_key[key] = run
+            runs = runner.run(unique_tasks)
+            runs_by_key = dict(zip(unique_tasks, runs))
+            cached_keys = runs.hits
 
         results: List[PlanResult] = []
-        estimate_cached: Dict[str, bool] = {}
+        estimates: Dict[str, Tuple[NPUEstimate, bool]] = {}
         for point in lowered.points:
             if point.kind == "estimate":
-                if point.key not in estimate_cached:
-                    estimate_cached[point.key] = (
-                        cache is not None and cache.path_for(point.key).exists())
-                estimate = runner.estimate(point.config, point.library)
+                if point.key not in estimates:
+                    estimates[point.key] = runner._estimate(
+                        point.key, point.config,
+                        point.library or library_for(Technology.RSFQ))
+                estimate, estimate_cached = estimates[point.key]
                 results.append(PlanResult(
                     plan=plan.name, plan_hash=lowered.plan_hash,
                     grid=point.grid, coords=point.coords, key=point.key,
-                    cached=estimate_cached[point.key], params=point.params,
+                    cached=estimate_cached, params=point.params,
                     estimate=estimate,
                 ))
             else:
@@ -629,9 +638,9 @@ def execute(plan: ExperimentPlan, runner: Optional[JobRunner] = None) -> ResultS
                     params=point.params, run=runs_by_key[point.key],
                 ))
 
-    cached = len(cached_keys) + sum(1 for flag in estimate_cached.values() if flag)
-    executed = (len(unique_tasks) - len(cached_keys)
-                + sum(1 for flag in estimate_cached.values() if not flag))
+    estimate_hits = sum(1 for _, hit in estimates.values() if hit)
+    cached = len(cached_keys) + estimate_hits
+    executed = len(unique_tasks) - len(cached_keys) + len(estimates) - estimate_hits
     obs.counter("plan.points_total").add(len(lowered.points))
     obs.counter("plan.points_cached").add(cached)
     obs.counter("plan.points_executed").add(executed)

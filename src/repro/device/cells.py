@@ -22,6 +22,7 @@ number of switching junctions).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Mapping
 
@@ -226,6 +227,7 @@ def ersfq_library(process: FabricationProcess = AIST_10UM) -> CellLibrary:
     return CellLibrary(Technology.ERSFQ, process)
 
 
+@functools.lru_cache(maxsize=64)  # one shared instance per pair: CellLibrary has no mutators
 def library_for(technology: Technology, process: FabricationProcess = AIST_10UM) -> CellLibrary:
     if technology is Technology.RSFQ:
         return rsfq_library(process)

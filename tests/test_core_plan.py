@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.ablate import ablated_configs, ablation_plan, ablation_study
 from repro.core.batching import derived_batch
+from repro.core.chaos import corrupt_cache_entry
 from repro.core.designs import baseline, supernpu
 from repro.core.jobs import JobRunner, ResultCache, session, use_runner
 from repro.core.plan import (
@@ -254,6 +255,30 @@ def test_warm_cache_reexecutes_nothing(tiny_network, rsfq, tmp_path):
     for a, b in zip(cold, warm):
         assert a.run.mac_per_s == b.run.mac_per_s
         assert a.run.total_cycles == b.run.total_cycles
+
+
+def test_corrupt_entries_are_recomputed_not_reported_cached(tiny_network, rsfq, tmp_path):
+    """``cached`` comes from the runner's real hits, not from a file existing."""
+    grids = (
+        Grid("sims", (config_axis((supernpu(),)), workload_axis((tiny_network,)),
+                      batch_axis((1, 2, 4)), library_axis((rsfq,)))),
+        Grid("estimates", (config_axis((supernpu(), baseline())), library_axis((rsfq,))),
+             kind="estimate"),
+    )
+    plan = ExperimentPlan("corrupt", grids)
+    with session(cache_dir=tmp_path / "cache"):
+        cold = execute(plan)
+    cache = ResultCache(tmp_path / "cache")
+    damaged = {cold.results[1].key, cold.results[3].key}  # a simulation, an estimate
+    for key in damaged:
+        corrupt_cache_entry(cache, key, mode="truncate")
+
+    with session(cache_dir=tmp_path / "cache") as runner:
+        warm = execute(plan, runner=runner)
+    assert (warm.points_cached, warm.points_executed) == (3, 2)
+    assert [r.cached for r in warm] == [r.key not in damaged for r in warm]
+    assert runner.stats.executed == 1
+    assert [r.result for r in warm] == [r.result for r in cold]
 
 
 # -- the named registry ----------------------------------------------------

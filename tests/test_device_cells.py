@@ -137,3 +137,10 @@ def test_switch_energy_physically_plausible(lib):
         cell = lib[name]
         switches = cell.switch_energy_aj / per_jj
         assert 1 <= switches <= cell.jj_count + 2
+
+
+def test_library_for_shares_one_instance_per_pair():
+    """Every default-library key hits one library fingerprint memo entry."""
+    assert library_for(Technology.RSFQ) is library_for(Technology.RSFQ)
+    assert library_for(Technology.ERSFQ) is library_for(Technology.ERSFQ)
+    assert library_for(Technology.RSFQ) is not library_for(Technology.ERSFQ)
