@@ -36,7 +36,6 @@ The CLI commands are thin wrappers over these functions.
 from __future__ import annotations
 
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,7 +112,6 @@ __all__ = [
     "plans",
     "plan",
     "run_plan",
-    "serve",
     "ComponentEstimator",
     "CrossTemperatureReport",
     "EvaluatedGrid",
@@ -231,10 +229,6 @@ class RunOptions:
       call's host self-time (sampling or tracing); the collapsed stacks
       go to ``hotspot_out`` when given, otherwise a one-line summary is
       printed to stderr.
-
-    The old per-verb ``runner=`` keyword still works but warns once per
-    verb (:class:`DeprecationWarning`); new code should pass ``options=``
-    or install an ambient session (:func:`session` / :func:`use_runner`).
     """
 
     jobs: int = 1
@@ -248,38 +242,10 @@ class RunOptions:
     hotspot_out: Optional[Union[str, Path]] = None
 
 
-#: Verbs whose deprecated ``runner=`` keyword already warned this process.
-_RUNNER_DEPRECATION_WARNED: set = set()
-
-
-def _warn_runner_kwarg(verb: str) -> None:
-    if verb in _RUNNER_DEPRECATION_WARNED:
-        return
-    _RUNNER_DEPRECATION_WARNED.add(verb)
-    warnings.warn(
-        f"the runner= keyword of repro.api.{verb} is deprecated; pass "
-        "options=RunOptions(...) or install an ambient session "
-        "(api.session(...) / api.use_runner(...)) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 @contextmanager
 def _execution_scope(verb: str,
-                     options: Optional[RunOptions],
-                     runner: Optional[JobRunner]) -> Iterator[JobRunner]:
-    """Resolve ``options=`` / deprecated ``runner=`` to an active runner."""
-    if options is not None and runner is not None:
-        raise ConfigError(
-            f"repro.api.{verb} got both options= and the deprecated "
-            "runner=; pass only options=",
-            code="api.options_conflict", verb=verb)
-    if runner is not None:
-        _warn_runner_kwarg(verb)
-        with use_runner(runner):
-            yield runner
-        return
+                     options: Optional[RunOptions]) -> Iterator[JobRunner]:
+    """Resolve ``options=`` to an active runner."""
     if options is None:
         yield get_runner()
         return
@@ -307,10 +273,9 @@ def _execution_scope(verb: str,
 
 def estimate(design_spec: DesignLike, *,
              technology: TechnologyLike = "rsfq",
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> NPUEstimate:
+             options: Optional[RunOptions] = None) -> NPUEstimate:
     """Frequency / power / area estimation of one design point."""
-    with _execution_scope("estimate", options, runner) as scoped:
+    with _execution_scope("estimate", options) as scoped:
         return scoped.estimate(design(design_spec), library(technology))
 
 
@@ -318,8 +283,7 @@ def simulate(design_spec: DesignLike, workload_spec: WorkloadLike, *,
              batch: Optional[int] = None,
              technology: TechnologyLike = "rsfq",
              timeline: Optional[CycleTimeline] = None,
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> SimulationResult:
+             options: Optional[RunOptions] = None) -> SimulationResult:
     """Cycle-level simulation of one workload on one design.
 
     ``batch=None`` applies the paper's Table II policy (named designs)
@@ -331,7 +295,7 @@ def simulate(design_spec: DesignLike, workload_spec: WorkloadLike, *,
     network = workload(workload_spec)
     lib = library(technology)
     resolved_batch = batch if batch is not None else batch_for(config, network)
-    with _execution_scope("simulate", options, runner) as scoped:
+    with _execution_scope("simulate", options) as scoped:
         if timeline is not None:
             from repro.simulator.engine import simulate as engine_simulate
 
@@ -345,10 +309,9 @@ def evaluate(designs: Optional[Sequence[DesignLike]] = None,
              workloads: Optional[Sequence[WorkloadLike]] = None, *,
              technology: TechnologyLike = "rsfq",
              tpu: CMOSNPUConfig = TPU_CORE,
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> EvaluationSuite:
+             options: Optional[RunOptions] = None) -> EvaluationSuite:
     """The Fig. 23 suite: TPU baseline + design points x workloads."""
-    with _execution_scope("evaluate", options, runner) as scoped:
+    with _execution_scope("evaluate", options) as scoped:
         return evaluate_suite(
             designs=None if designs is None else [design(d) for d in designs],
             workloads=None if workloads is None
@@ -362,10 +325,9 @@ def evaluate(designs: Optional[Sequence[DesignLike]] = None,
 def compare(designs: Sequence[DesignLike],
             workloads: Optional[Sequence[WorkloadLike]] = None, *,
             technology: TechnologyLike = "rsfq",
-            options: Optional[RunOptions] = None,
-            runner: Optional[JobRunner] = None) -> List[ComparisonColumn]:
+            options: Optional[RunOptions] = None) -> List[ComparisonColumn]:
     """Side-by-side scorecards for any set of design points."""
-    with _execution_scope("compare", options, runner) as scoped:
+    with _execution_scope("compare", options) as scoped:
         return _compare(
             [design(d) for d in designs],
             workloads=None if workloads is None
@@ -378,10 +340,9 @@ def compare(designs: Sequence[DesignLike],
 def ablate(base: Optional[DesignLike] = None,
            workloads: Optional[Sequence[WorkloadLike]] = None, *,
            technology: TechnologyLike = "rsfq",
-           options: Optional[RunOptions] = None,
-           runner: Optional[JobRunner] = None) -> List[AblationRow]:
+           options: Optional[RunOptions] = None) -> List[AblationRow]:
     """One-factor-at-a-time ablation of a design (default: SuperNPU)."""
-    with _execution_scope("ablate", options, runner) as scoped:
+    with _execution_scope("ablate", options) as scoped:
         return ablation_study(
             workloads=None if workloads is None
             else [workload(w) for w in workloads],
@@ -402,8 +363,7 @@ def plan(name: str) -> ExperimentPlan:
 
 
 def run_plan(plan_or_name: Union[str, ExperimentPlan], *,
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> ResultSet:
+             options: Optional[RunOptions] = None) -> ResultSet:
     """Execute a plan (or a registered plan name) through the job engine.
 
     Inherits the ambient runner's cache, parallel fan-out, retry/timeout
@@ -412,13 +372,12 @@ def run_plan(plan_or_name: Union[str, ExperimentPlan], *,
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
-    with _execution_scope("run_plan", options, runner) as scoped:
+    with _execution_scope("run_plan", options) as scoped:
         return _execute_plan(resolved, runner=scoped)
 
 
 def evaluate_grid(plan_or_name: Union[str, ExperimentPlan], *,
-                  options: Optional[RunOptions] = None,
-                  runner: Optional[JobRunner] = None) -> GridEvaluation:
+                  options: Optional[RunOptions] = None) -> GridEvaluation:
     """Run a plan and return dense, axis-shaped per-grid result arrays.
 
     The lowered design points still execute through the job engine as
@@ -430,25 +389,10 @@ def evaluate_grid(plan_or_name: Union[str, ExperimentPlan], *,
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
-    with _execution_scope("evaluate_grid", options, runner) as scoped:
+    with _execution_scope("evaluate_grid", options) as scoped:
         return _evaluate_grid(resolved, runner=scoped)
 
 
 def paper_workloads() -> List[Network]:
     """The six benchmark CNNs, in canonical order."""
     return all_workloads()
-
-
-def serve(**config_kwargs):
-    """Construct the evaluation daemon (``repro.serve.EvalDaemon``).
-
-    Keyword arguments are :class:`repro.serve.ServeConfig` fields
-    (``cache_dir``, ``jobs``, ``quota_rate_per_s``, ...).  Call
-    ``.run()`` on the result to block until SIGTERM, or use
-    ``repro.serve.daemon_in_thread`` to host one inside a test.  The
-    import is lazy because :mod:`repro.serve` resolves requests through
-    this facade.
-    """
-    from repro.serve import EvalDaemon, ServeConfig
-
-    return EvalDaemon(ServeConfig(**config_kwargs))

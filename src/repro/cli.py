@@ -22,12 +22,6 @@ Commands mirror the paper's experiments:
   invocation is recorded there (``~/.supernpu/runs/`` by default;
   ``--runs-dir DIR`` overrides, ``--no-registry`` opts out);
   ``list --command SUBSTR`` filters by command name / argv
-* ``serve`` — the long-lived evaluation daemon: HTTP/JSON endpoints
-  over the job engine with admission control, per-client quotas,
-  request coalescing and graceful degradation (docs/API.md); drains
-  cleanly on SIGTERM
-* ``client request|drill|smoke`` — talk to a running daemon, or run
-  the chaos drill / CI smoke against one (docs/ROBUSTNESS.md)
 * ``hotspot <command...>`` — run any other supernpu command under the
   host-time profiler (wall-clock sampling, or deterministic tracing for
   sub-millisecond commands); ``simulate``, ``evaluate``, ``plan run``
@@ -1263,100 +1257,6 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the long-lived evaluation daemon (see docs/API.md).
-
-    Blocks until SIGTERM/SIGINT, then drains in-flight requests and
-    exits 0.  ``--chaos scope:kind:times[:seconds]`` arms fault
-    injection for drills: ``handler:`` faults fire at the request
-    boundary (keyed by endpoint), ``worker:`` faults travel into pool
-    workers (keyed by task content hash).
-    """
-    import tempfile
-
-    from repro.core.chaos import ChaosInjector, parse_fault_flag
-    from repro.serve import EvalDaemon, ServeConfig
-
-    worker_faults = {}
-    handler_faults = {}
-    for text in args.chaos or []:
-        scope, spec = parse_fault_flag(text)
-        # Worker faults key on task content hashes and handler faults on
-        # endpoint names, neither of which the flag spells out — so
-        # CLI-armed faults are wildcard, sharing one ``times`` budget.
-        (worker_faults if scope == "worker" else handler_faults)["*"] = spec
-    worker_chaos = handler_chaos = None
-    if worker_faults or handler_faults:
-        chaos_dir = args.chaos_dir or tempfile.mkdtemp(prefix="supernpu-chaos-")
-        if worker_faults:
-            worker_chaos = ChaosInjector(f"{chaos_dir}/worker", worker_faults)
-        if handler_faults:
-            handler_chaos = ChaosInjector(f"{chaos_dir}/handler", handler_faults)
-
-    config = ServeConfig(
-        host=args.host, port=args.port, cache_dir=args.cache_dir,
-        jobs=args.jobs, retries=args.retries,
-        task_timeout_s=args.task_timeout,
-        max_inflight=args.max_inflight,
-        quota_rate_per_s=args.quota_rps, quota_burst=args.quota_burst,
-        deadline_s=args.deadline, header_timeout_s=args.header_timeout,
-        body_timeout_s=args.header_timeout,
-        drain_timeout_s=args.drain_timeout,
-        port_file=args.port_file,
-        record_runs=args.record_runs, runs_dir=args.runs_dir,
-        worker_chaos=worker_chaos, handler_chaos=handler_chaos,
-    )
-    daemon = EvalDaemon(config)
-    print(f"supernpu serve: listening on {config.host} "
-          f"(port {'ephemeral' if not config.port else config.port}, "
-          f"jobs={config.jobs}, quota {config.quota_rate_per_s:g} rps "
-          f"burst {config.quota_burst})", file=sys.stderr)
-    daemon.run()
-    print("supernpu serve: drained, exiting", file=sys.stderr)
-    return 0
-
-
-def cmd_client(args: argparse.Namespace) -> int:
-    """The drill client: one request, or a whole scripted drill."""
-    import json as json_mod
-    import tempfile
-
-    from repro.errors import ConfigError
-    from repro.serve.client import ServeClient, read_port_file
-    from repro.serve.drill import DrillFailure, run_chaos_drill, run_serve_smoke
-
-    if args.action in ("drill", "smoke"):
-        work_dir = args.work_dir or tempfile.mkdtemp(prefix="supernpu-drill-")
-        runner = run_chaos_drill if args.action == "drill" else run_serve_smoke
-        try:
-            report = runner(work_dir)
-        except DrillFailure as failure:
-            print(f"{args.action} FAILED: {failure}", file=sys.stderr)
-            return 1
-        print(f"{args.action} passed:")
-        print(report.describe())
-        return 0
-
-    # action == "request"
-    if not args.path:
-        raise ConfigError("'client request' needs a path, e.g. /health or "
-                          "/v1/estimate", code="config.missing_command")
-    port = args.port
-    if args.port_file:
-        port = read_port_file(args.port_file)
-    if not port:
-        raise ConfigError("no daemon port: pass --port or --port-file",
-                          code="config.missing_port")
-    body = json_mod.loads(args.data) if args.data else None
-    method = args.method or ("POST" if body is not None else "GET")
-    client = ServeClient(host=args.host, port=port, client_id=args.client_id)
-    response = client.request(method, args.path, body=body,
-                              deadline_s=args.deadline)
-    print(f"{response.status} {args.path}", file=sys.stderr)
-    print(response.body)
-    return 0 if response.status < 400 else 1
-
-
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of this run "
@@ -1676,84 +1576,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the supernpu command line to profile, e.g. "
                             "'simulate supernpu mobilenet'")
     p_hot.set_defaults(func=cmd_hotspot)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the long-lived evaluation daemon (HTTP/JSON; see "
-             "docs/API.md for endpoints, admission and fault model)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="listen port (default 0 = ephemeral; the bound "
-                              "port lands in --port-file)")
-    p_serve.add_argument("--port-file", metavar="FILE", default=None,
-                         help="write the bound port here once listening "
-                              "(removed on clean drain)")
-    p_serve.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="shared content-addressed result cache; strongly "
-                              "recommended — warm hits answer in microseconds")
-    p_serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="pool workers per request (default 1 = serial)")
-    p_serve.add_argument("--retries", type=int, default=2, metavar="N")
-    p_serve.add_argument("--task-timeout", type=float, default=None,
-                         metavar="SECONDS")
-    p_serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
-                         help="bounded admission queue: requests beyond this "
-                              "many in flight are shed with 503")
-    p_serve.add_argument("--quota-rps", type=float, default=8.0, metavar="R",
-                         help="per-client token refill rate (requests/s; "
-                              "over-quota requests get 429 + Retry-After)")
-    p_serve.add_argument("--quota-burst", type=int, default=16, metavar="N",
-                         help="per-client token bucket size")
-    p_serve.add_argument("--deadline", type=float, default=60.0,
-                         metavar="SECONDS",
-                         help="default per-request deadline; waiters shed 504 "
-                              "(clients may lower it via X-Deadline-S)")
-    p_serve.add_argument("--header-timeout", type=float, default=5.0,
-                         metavar="SECONDS",
-                         help="slow-client bound on reading the request "
-                              "(shed with 408)")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="how long SIGTERM waits for in-flight work")
-    p_serve.add_argument("--record-runs", action="store_true",
-                         help="record one run-registry entry per request")
-    p_serve.add_argument("--chaos", action="append", metavar="SPEC",
-                         help="arm fault injection: scope:kind:times[:seconds] "
-                              "(scope handler|worker; e.g. worker:sigkill:2, "
-                              "handler:hung_handler:1:0.5); repeatable")
-    p_serve.add_argument("--chaos-dir", metavar="DIR", default=None,
-                         help="chaos budget-ledger directory (default: a "
-                              "fresh temp dir)")
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_client = sub.add_parser(
-        "client",
-        help="talk to a running daemon, or run the serve drills",
-    )
-    p_client.add_argument("action", choices=["request", "drill", "smoke"],
-                          help="request = one HTTP exchange; drill = the full "
-                               "in-process chaos drill; smoke = the CI smoke "
-                               "(subprocess daemon, quota burst, SIGTERM drain)")
-    p_client.add_argument("path", nargs="?", default=None,
-                          help="for 'request': /health, /stats, or /v1/<endpoint>")
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, default=0)
-    p_client.add_argument("--port-file", metavar="FILE", default=None,
-                          help="read the daemon's port from this file")
-    p_client.add_argument("--data", metavar="JSON", default=None,
-                          help="request body (implies POST)")
-    p_client.add_argument("--method", default=None,
-                          choices=["GET", "POST"])
-    p_client.add_argument("--client-id", default=None,
-                          help="X-Client identity for quota accounting")
-    p_client.add_argument("--deadline", dest="deadline", type=float,
-                          default=None, metavar="SECONDS",
-                          help="X-Deadline-S for this request")
-    p_client.add_argument("--work-dir", metavar="DIR", default=None,
-                          help="for drill/smoke: scratch directory "
-                               "(default: a fresh temp dir)")
-    p_client.set_defaults(func=cmd_client)
 
     return parser
 

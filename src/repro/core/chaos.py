@@ -25,23 +25,6 @@ pool restarts* and then lets the task succeed — which is what makes
 Cache poisoning (:func:`corrupt_cache_entry`) covers the storage side:
 truncated JSON, garbage bytes, wrong schema versions, and well-formed
 but unmaterializable payloads.
-
-The serving layer (:mod:`repro.serve`) drills one level higher with the
-daemon fault kinds (:data:`SERVE_FAULT_KINDS`):
-
-* ``"hung_handler"`` — the request handler stalls for ``hang_seconds``
-  *and then proceeds normally* (exercises per-request deadlines: the
-  waiter sheds with 504 while the computation stays consistent);
-* ``"reject"`` — the handler raises a transient :class:`ChaosFailure`
-  before touching the job engine (exercises the error envelope path).
-
-A daemon passes two independent injectors — one fired at the handler
-boundary (keyed by endpoint name), one travelling into pool workers
-(keyed by task content hash) — so "kill workers mid-request" and "hang
-the handler" are separately budgeted.  Slow-client faults need no
-injector at all: they are produced client-side by throttled request
-writes (:meth:`repro.serve.client.ServeClient.raw_request`) and
-absorbed server-side by bounded read timeouts.
 """
 
 from __future__ import annotations
@@ -52,7 +35,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
 
 from repro.errors import ConfigError
 
@@ -60,12 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.jobs import ResultCache
 
 FAULT_KINDS = ("exception", "hang", "sigkill")
-
-#: Fault kinds meaningful only at the serving layer's handler boundary.
-SERVE_FAULT_KINDS = ("hung_handler", "reject")
-
-#: Every kind a :class:`FaultSpec` accepts (worker-level + daemon-level).
-ALL_FAULT_KINDS = FAULT_KINDS + SERVE_FAULT_KINDS
 
 CORRUPTION_MODES = ("truncate", "garbage", "wrong_schema", "poisoned_payload")
 
@@ -86,9 +63,9 @@ class FaultSpec:
     hang_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ALL_FAULT_KINDS:
+        if self.kind not in FAULT_KINDS:
             raise ConfigError(
-                f"unknown fault kind {self.kind!r}; known: {ALL_FAULT_KINDS}",
+                f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}",
                 code="config.invalid_fault", kind=self.kind,
             )
         if self.times < 1:
@@ -145,13 +122,6 @@ class ChaosInjector:
             slot = "any"
         if spec is None or not self._claim(slot, spec):
             return
-        if spec.kind == "hung_handler":
-            # The handler stalls but then proceeds normally: the caller's
-            # deadline is what turns this into a shed, not an exception.
-            time.sleep(spec.hang_seconds)
-            return
-        if spec.kind == "reject":
-            raise ChaosFailure(f"chaos handler rejection on {key[:12]}")
         if spec.kind == "hang":
             time.sleep(spec.hang_seconds)
             raise ChaosFailure(
@@ -165,42 +135,6 @@ class ChaosInjector:
                 )
             os.kill(os.getpid(), signal.SIGKILL)
         raise ChaosFailure(f"chaos exception on task {key[:12]}")
-
-
-#: Scopes a ``--chaos`` CLI flag can target: the daemon request handler
-#: (fired once per admitted request, keyed by endpoint name) or the pool
-#: workers (fired per task execution, keyed by content hash).
-FAULT_SCOPES = ("handler", "worker")
-
-
-def parse_fault_flag(text: str) -> Tuple[str, FaultSpec]:
-    """Parse one ``--chaos`` flag: ``scope:kind:times[:seconds]``.
-
-    Examples: ``worker:sigkill:2`` (the first two worker tasks SIGKILL
-    their process), ``handler:hung_handler:1:0.5`` (the first admitted
-    request stalls for half a second before executing).
-    """
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise ConfigError(
-            f"cannot parse chaos spec {text!r}; expected scope:kind:times[:seconds]",
-            code="config.invalid_fault", spec=text,
-        )
-    scope, kind = parts[0], parts[1]
-    if scope not in FAULT_SCOPES:
-        raise ConfigError(
-            f"unknown chaos scope {scope!r}; known: {FAULT_SCOPES}",
-            code="config.invalid_fault", scope=scope,
-        )
-    try:
-        times = int(parts[2])
-        seconds = float(parts[3]) if len(parts) == 4 else 30.0
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse chaos spec {text!r}; times must be an int, "
-            "seconds a float", code="config.invalid_fault", spec=text,
-        ) from None
-    return scope, FaultSpec(kind, times=times, hang_seconds=seconds)
 
 
 def corrupt_cache_entry(cache: "ResultCache", key: str,

@@ -174,8 +174,8 @@ class _SignatureText:
     builds afresh share one rendering.  Dataclass equality holds ``300 ==
     300.0`` although the two render differently, so the value key also
     carries every field's type.  The value table keeps at most ``size``
-    entries, dropping the oldest first.  Thread-safe: the serve daemon
-    keys tasks from a thread pool.
+    entries, dropping the oldest first.  Thread-safe: ``repro.api`` may
+    be called from several user threads at once.
     """
 
     def __init__(self, signature: Callable[[Any], Any],

@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigError
+
 __all__ = [
     "FrameKey",
     "FunctionStat",
@@ -59,6 +61,13 @@ DEFAULT_SAMPLE_HZ = 97.0
 DEFAULT_MAX_DEPTH = 64
 
 PROFILE_SCHEMA_VERSION = 1
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"unknown hotspot mode {mode!r}",
+                          code="hotspot.unknown_mode",
+                          hint=f"use one of: {', '.join(MODES)}", mode=mode)
 
 
 def _frame_label(key: FrameKey) -> str:
@@ -195,8 +204,7 @@ class HotspotProfile:
     """
 
     def __init__(self, mode: str = "sampling", interval_s: float = 0.0) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown hotspot mode {mode!r}; expected one of {MODES}")
+        _check_mode(mode)
         self.mode = mode
         self.interval_s = interval_s
         self.duration_s = 0.0
@@ -501,10 +509,12 @@ class HotspotProfiler:
     def __init__(self, mode: str = "sampling",
                  sample_hz: float = DEFAULT_SAMPLE_HZ,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown hotspot mode {mode!r}; expected one of {MODES}")
+        _check_mode(mode)
         if sample_hz <= 0:
-            raise ValueError(f"sample_hz must be positive, got {sample_hz}")
+            raise ConfigError(f"sample_hz must be positive, got {sample_hz}",
+                              code="hotspot.invalid_sample_hz",
+                              hint="pass a positive sampling rate in Hz",
+                              sample_hz=sample_hz)
         self.mode = mode
         self.sample_hz = sample_hz
         self.max_depth = max_depth

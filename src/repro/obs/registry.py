@@ -165,8 +165,8 @@ class RunRegistry:
 
         Creating the entry file with ``O_CREAT | O_EXCL`` is the
         allocation: the filesystem arbitrates between concurrent
-        writers (the serve daemon records one entry per request, many
-        in the same second from the same pid), so two racing
+        writers (concurrent CLI runs, or many entries in the same
+        second from the same pid), so two racing
         ``append()`` calls can never agree on a name and overwrite
         each other.  Collisions retry with a sequence suffix.
         """

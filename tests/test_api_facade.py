@@ -132,7 +132,8 @@ def test_api_verbs_use_ambient_runner(tmp_path, tiny_network):
 
 def test_api_accepts_explicit_runner(tiny_network):
     runner = api.JobRunner()
-    api.simulate("baseline", tiny_network, batch=1, runner=runner)
+    with api.use_runner(runner):
+        api.simulate("baseline", tiny_network, batch=1)
     assert runner.stats.tasks == 1
 
 

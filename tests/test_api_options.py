@@ -3,22 +3,18 @@
 Covers the two API-unification pieces of the batched-solver redesign:
 
 * :class:`repro.api.RunOptions` — one options bundle shared by every
-  verb, replacing the per-verb ``runner=`` keyword (which still works
-  but warns exactly once per verb);
+  verb;
 * :func:`repro.api.evaluate_grid` — the grid-shaped plan verb, proven
   point-for-point identical to :func:`repro.api.run_plan`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro import api
 from repro.core.designs import supernpu
-from repro.core.jobs import JobRunner
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
@@ -53,14 +49,6 @@ def test_run_options_defaults_and_frozen():
     assert not options.hotspot
     with pytest.raises(AttributeError):
         options.jobs = 4  # frozen: one immutable bundle, safely shareable
-
-
-def test_options_and_runner_conflict(supernpu_config):
-    with pytest.raises(ConfigError) as err:
-        api.estimate(supernpu_config,
-                     options=api.RunOptions(),
-                     runner=JobRunner())
-    assert err.value.code == "api.options_conflict"
 
 
 def test_estimate_with_options_matches_plain(supernpu_config):
@@ -104,25 +92,22 @@ def test_options_hotspot_writes_collapsed_stacks(tmp_path, supernpu_config,
     assert out.exists()
 
 
-# -- the deprecated runner= keyword -----------------------------------------
-
-def test_runner_kwarg_warns_once_per_verb(supernpu_config):
-    api._RUNNER_DEPRECATION_WARNED.discard("estimate")
-    runner = JobRunner()
-    with pytest.warns(DeprecationWarning, match="runner= keyword"):
-        api.estimate(supernpu_config, runner=runner)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a second warning would raise
-        api.estimate(supernpu_config, runner=runner)
+def test_options_bad_hotspot_mode_is_a_config_error(supernpu_config):
+    with pytest.raises(ConfigError) as err:
+        api.estimate(supernpu_config,
+                     options=api.RunOptions(hotspot=True,
+                                            hotspot_mode="bogus"))
+    assert err.value.code == "hotspot.unknown_mode"
+    assert "sampling" in err.value.hint and "tracing" in err.value.hint
 
 
-def test_runner_kwarg_still_executes(supernpu_config):
-    api._RUNNER_DEPRECATION_WARNED.add("estimate")  # silence, not the point
-    plain = api.estimate(supernpu_config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = api.estimate(supernpu_config, runner=JobRunner())
-    assert legacy.frequency_ghz == plain.frequency_ghz
+@pytest.mark.parametrize("sample_hz", [0.0, -5.0])
+def test_non_positive_sample_hz_is_a_config_error(sample_hz):
+    from repro.obs.hotspot import HotspotProfiler
+
+    with pytest.raises(ConfigError) as err:
+        HotspotProfiler(sample_hz=sample_hz)
+    assert err.value.code == "hotspot.invalid_sample_hz"
 
 
 # -- evaluate_grid ----------------------------------------------------------

@@ -523,50 +523,3 @@ def test_plan_run_json_envelope(tmp_path, capsys):
     assert document["command"] == "plan"
     assert document["data"]["points_total"] == 6
     assert len(document["data"]["records"]) == 6
-
-
-# -- serve / client ---------------------------------------------------------
-
-def test_serve_parser_accepts_all_knobs():
-    args = build_parser().parse_args([
-        "serve", "--port", "0", "--cache-dir", "/tmp/c", "--jobs", "2",
-        "--quota-rps", "4", "--quota-burst", "8", "--max-inflight", "3",
-        "--deadline", "10", "--header-timeout", "2", "--drain-timeout", "5",
-        "--chaos", "worker:sigkill:1", "--chaos", "handler:reject:2:0.5",
-    ])
-    assert args.command == "serve"
-    assert args.jobs == 2 and args.quota_burst == 8
-    assert args.chaos == ["worker:sigkill:1", "handler:reject:2:0.5"]
-
-
-def test_client_request_against_live_daemon(tmp_path, capsys):
-    import json
-
-    from repro.serve.daemon import ServeConfig, daemon_in_thread
-
-    config = ServeConfig(cache_dir=tmp_path / "cache",
-                         port_file=tmp_path / "daemon.port",
-                         quota_rate_per_s=1000.0, quota_burst=1000)
-    with daemon_in_thread(config):
-        assert main(["client", "request", "/health",
-                     "--port-file", str(tmp_path / "daemon.port")]) == 0
-        body = json.loads(capsys.readouterr().out)
-        assert body["ok"] is True and body["data"]["status"] == "ok"
-
-        assert main(["client", "request", "/v1/estimate",
-                     "--port-file", str(tmp_path / "daemon.port"),
-                     "--data", '{"design": "supernpu"}']) == 0
-        body = json.loads(capsys.readouterr().out)
-        assert body["data"]["design"] == "SuperNPU"
-
-        # An error response surfaces as exit 1 with the envelope printed.
-        assert main(["client", "request", "/v1/estimate",
-                     "--port-file", str(tmp_path / "daemon.port"),
-                     "--data", '{"design": "nope"}']) == 1
-        body = json.loads(capsys.readouterr().out)
-        assert body["ok"] is False and body["error"]["code"]
-
-
-def test_client_request_without_port_exits_2(capsys):
-    assert main(["client", "request", "/health"]) == 2
-    assert "no daemon port" in capsys.readouterr().err

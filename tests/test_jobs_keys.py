@@ -295,7 +295,7 @@ def test_cache_encodes_per_miss_and_decodes_per_hit(tiny_network, rsfq, counts, 
 
 
 def test_signature_memo_survives_threads():
-    """Threads keying at once (the serve daemon's pool) evict safely and agree."""
+    """Threads keying at once (``repro.api`` called from user threads) evict safely and agree."""
     memo = jobs._SignatureText(config_signature, lambda config: (config, type(config)), size=4)
     configs = [supernpu().with_updates(name=f"n{index}") for index in range(16)]
     expected = [jobs._canonical_json(config_signature(config)) for config in configs]
