@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
 from repro.simulator.memory import memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.workloads.layers import ConvLayer
@@ -88,7 +89,8 @@ def simulate_cmos(
     """Simulate ``network`` on the CMOS baseline; reuses the SFQ result type
     so downstream comparisons treat both NPUs uniformly."""
     if batch < 1:
-        raise ValueError("batch must be positive")
+        raise ConfigError("batch must be positive",
+                          code="config.invalid_batch", batch=batch)
     memory = memory_model_for(config, config.frequency_ghz)
     layers = []
     resident = False

@@ -70,14 +70,13 @@ def derived_batch(config: NPUConfig, network: Network, cap: int = BATCH_CAP) -> 
     """
     if cap < 1:
         raise ValueError("batch cap must be positive")
-    conv_layers = network.conv_layers or network.layers
+    channel_slots = config.pe_array_height * config.ifmap_division
+    out_capacity = config.output_buffer_bytes + config.psum_buffer_bytes
     best = cap
-    for layer in conv_layers:
+    for layer in network.conv_layers or network.layers:
         if layer.ifmap_bytes:
             best = min(best, config.ifmap_buffer_bytes // layer.ifmap_bytes)
-        channel_slots = config.pe_array_height * config.ifmap_division
         best = min(best, channel_slots // layer.in_channels)
-        out_capacity = config.output_buffer_bytes + config.psum_buffer_bytes
         if layer.ofmap_bytes:
             best = min(best, out_capacity // layer.ofmap_bytes)
     return max(1, best)

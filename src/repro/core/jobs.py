@@ -212,7 +212,8 @@ class _SignatureText:
 
 
 def _field_types(instance: Any) -> Tuple[type, ...]:
-    return tuple(map(type, vars(instance).values()))
+    return tuple(type(getattr(instance, field.name))
+                 for field in dataclasses.fields(instance))
 
 
 _config_text = _SignatureText(

@@ -27,6 +27,7 @@ import math
 from typing import Optional
 
 from repro.device.cells import CellLibrary
+from repro.errors import ConfigError
 from repro.estimator.arch_level import NPUEstimate, build_units, estimate_npu, interface_gate_pairs
 from repro.simulator.memory import MemoryModel, memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
@@ -149,7 +150,8 @@ def simulate_os(
 ) -> SimulationResult:
     """Cycle-level simulation of ``network`` on an OS-dataflow NPU."""
     if batch < 1:
-        raise ValueError("batch must be positive")
+        raise ConfigError("batch must be positive",
+                          code="config.invalid_batch", batch=batch)
     if estimate is None:
         if library is None:
             from repro.device.cells import rsfq_library

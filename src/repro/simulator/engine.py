@@ -31,6 +31,7 @@ from typing import Optional
 from repro import obs
 from repro.obs.timeline import CycleTimeline
 from repro.device.cells import CellLibrary
+from repro.errors import ConfigError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.mapping import LayerMapping, map_layer
@@ -182,7 +183,8 @@ def simulate(
     spans, on-chip phases, DRAM transfers, buffer-occupancy samples).
     """
     if batch < 1:
-        raise ValueError("batch must be positive")
+        raise ConfigError("batch must be positive",
+                          code="config.invalid_batch", batch=batch)
     with obs.trace_span(
         "simulate", design=config.name, network=network.name, batch=batch
     ), obs.histogram("sim.simulate_seconds").time():

@@ -10,8 +10,13 @@ Each mapping loads a tile of weights onto the array:
   ``registers_per_pe`` filters sharing one column in SuperNPU;
 * channel groups (depthwise convolution) are independent mappings.
 
-Identical tiles are aggregated with a ``count`` so a 512-group depthwise
-layer costs one tile record, not 512.
+Identical consecutive mappings are aggregated into one tile record with a
+``count``.  Per column tile there are at most two records: the run of
+full-height row tiles that park partial sums, and the final row tile (the
+row remainder, or the last full tile).  Expanding every record ``count``
+times reproduces the per-mapping sequence in execution order, so a layer
+costs at most four records whatever its size — a 512-group depthwise layer
+is one record, not 512.
 """
 
 from __future__ import annotations
@@ -96,34 +101,27 @@ def _column_tiles(filters: int, width: int, registers: int) -> List[dict]:
 def map_layer(layer: ConvLayer, config: NPUConfig) -> LayerMapping:
     """Enumerate (aggregated) weight mappings of ``layer`` on ``config``."""
     height = config.pe_array_height
-    reduction = layer.reduction_size
-    row_sizes: List[int] = [height] * (reduction // height)
-    if reduction % height:
-        row_sizes.append(reduction % height)
+    full_rows, remainder = divmod(layer.reduction_size, height)
+    row_tiles = full_rows + (1 if remainder else 0)
+    # Every row tile except the last parks partial sums that a later row
+    # tile must pick back up; those form one run of full-height tiles.
+    run = row_tiles - 1
+    last_rows = remainder or height
     col_tiles = _column_tiles(
         layer.filters_per_group, config.pe_array_width, config.registers_per_pe
     )
 
     tiles: List[MappingTile] = []
-    needs_accumulation = len(row_sizes) > 1
     for col in col_tiles:
-        for index, rows in enumerate(row_sizes):
-            # Every row tile except the last parks partial sums that a later
-            # row tile must pick back up.
-            accumulates = needs_accumulation and index < len(row_sizes) - 1
-            tiles.append(
-                MappingTile(
-                    rows_used=rows,
-                    cols_used=col["cols"],
-                    regs_used=col["regs"],
-                    count=col["count"] * layer.groups,
-                    accumulates=accumulates,
-                )
-            )
+        count = col["count"] * layer.groups
+        if run:
+            tiles.append(MappingTile(height, col["cols"], col["regs"],
+                                     count=count * run, accumulates=True))
+        tiles.append(MappingTile(last_rows, col["cols"], col["regs"], count=count))
     return LayerMapping(
         layer=layer,
         tiles=tiles,
-        row_tiles=len(row_sizes),
+        row_tiles=row_tiles,
         col_tiles=sum(col["count"] for col in col_tiles),
     )
 

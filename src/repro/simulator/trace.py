@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.errors import ConfigError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.mapping import map_layer
@@ -56,7 +57,8 @@ def trace_layer(
     on-chip cycle count.
     """
     if batch < 1:
-        raise ValueError("batch must be positive")
+        raise ConfigError("batch must be positive",
+                          code="config.invalid_batch", batch=batch)
     mapping = map_layer(layer, config)
     datapath = build_datapath(config)
     ifmap_buffer = datapath.ifmap_buffer

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.device.cells import CellLibrary
+from repro.errors import ConfigError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.simulator.engine import simulate
 from repro.simulator.memory import memory_model_for
@@ -128,7 +129,8 @@ def simulate_training_step(
 ) -> TrainingResult:
     """Cycle-model one SGD step of ``network`` on ``config``."""
     if batch < 1:
-        raise ValueError("batch must be positive")
+        raise ConfigError("batch must be positive",
+                          code="config.invalid_batch", batch=batch)
     if estimate is None:
         if library is None:
             from repro.device.cells import rsfq_library

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.errors import ConfigError
 from repro.workloads.models import Network
 
 
@@ -73,7 +74,8 @@ class IntensityReport:
 def intensity_report(network: Network, batch: int = 1) -> IntensityReport:
     """Compute a workload's intensity: every weight performs E*F*batch MACs."""
     if batch < 1:
-        raise ValueError("batch must be positive")
+        raise ConfigError("batch must be positive",
+                          code="config.invalid_batch", batch=batch)
     return IntensityReport(
         network=network.name,
         batch=batch,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import WorkloadError
 
@@ -77,29 +78,33 @@ class ConvLayer:
             )
 
     # -- Geometry -------------------------------------------------------------
+    # Derived once per layer object: the simulator and batch sizing read
+    # these for every design point.  The cached values live in the
+    # instance ``__dict__`` but are not dataclass fields, so equality,
+    # hashing, ``asdict`` and workload keys see only the fields above.
 
-    @property
+    @cached_property
     def out_height(self) -> int:
         return (self.in_height + 2 * self.padding - self.kernel_height) // self.stride + 1
 
-    @property
+    @cached_property
     def out_width(self) -> int:
         return (self.in_width + 2 * self.padding - self.kernel_width) // self.stride + 1
 
-    @property
+    @cached_property
     def output_pixels(self) -> int:
         """Output spatial positions per image (E x F)."""
         return self.out_height * self.out_width
 
-    @property
+    @cached_property
     def channels_per_group(self) -> int:
         return self.in_channels // self.groups
 
-    @property
+    @cached_property
     def filters_per_group(self) -> int:
         return self.out_channels // self.groups
 
-    @property
+    @cached_property
     def reduction_size(self) -> int:
         """MAC-reduction depth per output value: C/g * R * S.
 
@@ -108,11 +113,11 @@ class ConvLayer:
         """
         return self.channels_per_group * self.kernel_height * self.kernel_width
 
-    @property
+    @cached_property
     def is_depthwise(self) -> bool:
         return self.groups == self.in_channels and self.groups > 1
 
-    @property
+    @cached_property
     def is_fully_connected(self) -> bool:
         return (
             self.kernel_height == self.in_height
@@ -123,24 +128,24 @@ class ConvLayer:
 
     # -- Volumes (bytes assume 8-bit data) ------------------------------------
 
-    @property
+    @cached_property
     def macs_per_image(self) -> int:
         """Multiply-accumulate operations per input image."""
         return self.output_pixels * self.out_channels * self.reduction_size
 
-    @property
+    @cached_property
     def weight_count(self) -> int:
         return self.out_channels * self.reduction_size
 
-    @property
+    @cached_property
     def weight_bytes(self) -> int:
         return self.weight_count
 
-    @property
+    @cached_property
     def ifmap_bytes(self) -> int:
         return self.in_channels * self.in_height * self.in_width
 
-    @property
+    @cached_property
     def ofmap_bytes(self) -> int:
         return self.out_channels * self.output_pixels
 

@@ -13,10 +13,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import sys
 import threading
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -56,9 +58,10 @@ from repro.device.cells import (
     rsfq_library,
 )
 from repro.device.process import AIST_10UM, FabricationProcess
+from repro.simulator.engine import simulate
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import ConvLayer
-from repro.workloads.models import Network
+from repro.workloads.models import Network, mobilenet
 
 # -- the reference recipe ----------------------------------------------------
 
@@ -221,6 +224,33 @@ def test_editing_one_layer_changes_the_key(tiny_network):
     assert before.key() == reference_task_key(before)
     assert after.key() == reference_task_key(after)
     assert after.key() != before.key()
+
+
+def test_value_memo_key_ignores_derived_layer_geometry():
+    """Reading a layer's cached geometry does not change its value-memo key."""
+    layer = mobilenet().layers[0]
+    before = jobs._field_types(layer)
+    assert len(before) == len(dataclasses.fields(layer))
+    names = [name for name, attr in vars(ConvLayer).items()
+             if isinstance(attr, (property, functools.cached_property))]
+    assert {"output_pixels", "reduction_size", "ofmap_bytes"} <= set(names)
+    for name in names:
+        getattr(layer, name)
+    assert jobs._field_types(layer) == before
+
+
+def test_equal_network_hits_value_memo_after_simulation(tiny_network):
+    """A separately built equal network reuses the rendering made after a run."""
+    first = Network("memo-probe", tiny_network.layers)
+    simulate(supernpu(), first)
+    text = jobs._workload_text(first)
+    rebuilt = Network("memo-probe", tuple(
+        dataclasses.replace(layer) for layer in tiny_network.layers))
+    assert rebuilt == first and rebuilt is not first
+    signature = Counter(jobs._workload_text._signature)
+    with mock.patch.object(jobs._workload_text, "_signature", signature):
+        assert jobs._workload_text(rebuilt) == text
+    assert signature.calls == 0
 
 
 # -- work counts ---------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.baselines.scalesim import TPU_CORE, simulate_cmos
+from repro.errors import ConfigError
 from repro.estimator.arch_level import estimate_npu
+from repro.simulator.dataflow_ablation import simulate_os
 from repro.simulator.engine import simulate
+from repro.simulator.trace import trace_layer
+from repro.simulator.training import simulate_training_step
+from repro.workloads.analysis import intensity_report
 from repro.workloads.models import alexnet, mobilenet, resnet50
 
 
@@ -114,6 +120,22 @@ def test_resident_activations_skip_dram(rsfq, supernpu_config, tiny_network):
 def test_batch_must_be_positive(rsfq, supernpu_config, tiny_network):
     with pytest.raises(ValueError):
         simulate(supernpu_config, tiny_network, batch=0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda config, network: simulate(config, network, batch=0),
+    lambda config, network: trace_layer(network.layers[0], config, batch=0),
+    lambda config, network: simulate_training_step(config, network, batch=0),
+    lambda config, network: simulate_os(config, network, batch=0),
+    lambda config, network: intensity_report(network, batch=0),
+    lambda config, network: simulate_cmos(TPU_CORE, network, batch=0),
+], ids=["simulate", "trace_layer", "simulate_training_step", "simulate_os",
+        "intensity_report", "simulate_cmos"])
+def test_entry_points_reject_nonpositive_batch_as_config_error(
+        entry, supernpu_config, tiny_network):
+    with pytest.raises(ConfigError) as raised:
+        entry(supernpu_config, tiny_network)
+    assert raised.value.code == "config.invalid_batch"
 
 
 def test_simulate_without_estimate_uses_default_library(supernpu_config, tiny_network):
