@@ -46,13 +46,14 @@ def bench_metrics_snapshot():
 def bench_hotspot_profile():
     """Optionally profile the whole benchmark session's host time.
 
-    Driven entirely by environment variables (set by
-    ``repro.obs.bench.run_benchmarks`` when a hotspot capture is
-    requested): ``SUPERNPU_BENCH_HOTSPOT_OUT`` names the output JSON,
+    Driven entirely by environment variables, which
+    ``repro.obs.bench.run_benchmarks`` sets when it runs under an active
+    profiler (``supernpu hotspot bench run``):
+    ``SUPERNPU_BENCH_HOTSPOT_OUT`` names the output JSON,
     ``SUPERNPU_BENCH_HOTSPOT_MODE`` picks sampling/tracing, and
-    ``SUPERNPU_BENCH_HOTSPOT_HZ`` sets the sampling rate.  Without the
-    OUT variable this fixture is a no-op, so plain benchmark runs pay
-    nothing.
+    ``SUPERNPU_BENCH_HOTSPOT_HZ`` sets the sampling rate, both copied
+    from that profiler.  Without the OUT variable this fixture is a
+    no-op, so plain benchmark runs pay nothing.
     """
     out = os.environ.get("SUPERNPU_BENCH_HOTSPOT_OUT")
     if not out:

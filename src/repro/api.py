@@ -24,10 +24,12 @@ uniformly::
     with api.session(jobs=4, cache_dir="~/.cache/supernpu"):
         suite = api.evaluate()                          # Fig. 23, fanned out
 
-Execution knobs (fan-out, cache, retries, timeouts, progress, hotspot
-profiling) are one :class:`RunOptions` value shared by every verb —
+Execution knobs (fan-out, cache, retries, timeouts, progress) are one
+:class:`RunOptions` value shared by every verb —
 ``api.evaluate(options=RunOptions(jobs=4))`` is the one-shot spelling of
-the session block above.  Plans evaluate either point-by-point
+the session block above.  Host-time profiling wraps any call instead:
+``with api.HotspotProfiler(mode="tracing") as profiler: ...`` (pool
+workers report back to it).  Plans evaluate either point-by-point
 (:func:`run_plan`) or as dense axis-shaped grids (:func:`evaluate_grid`).
 
 The CLI commands are thin wrappers over these functions.
@@ -35,7 +37,6 @@ The CLI commands are thin wrappers over these functions.
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,11 +225,9 @@ class RunOptions:
     * ``retries`` — re-attempts for transient task failures;
     * ``timeout_s`` — per-task wall-clock bound (parallel mode);
     * ``progress`` — a live :class:`~repro.obs.progress.ProgressReporter`
-      (``None`` = off);
-    * ``hotspot`` / ``hotspot_mode`` / ``hotspot_out`` — profile the
-      call's host self-time (sampling or tracing); the collapsed stacks
-      go to ``hotspot_out`` when given, otherwise a one-line summary is
-      printed to stderr.
+      (``None`` = off).
+
+    The CLI's shared run flags build this same value.
     """
 
     jobs: int = 1
@@ -237,45 +236,27 @@ class RunOptions:
     retries: int = 2
     timeout_s: Optional[float] = None
     progress: Optional[ProgressReporter] = None
-    hotspot: bool = False
-    hotspot_mode: str = "sampling"
-    hotspot_out: Optional[Union[str, Path]] = None
 
 
 @contextmanager
-def _execution_scope(verb: str,
-                     options: Optional[RunOptions]) -> Iterator[JobRunner]:
+def _execution_scope(options: Optional[RunOptions]) -> Iterator[JobRunner]:
     """Resolve ``options=`` to an active runner."""
     if options is None:
         yield get_runner()
         return
-    profiler = None
-    if options.hotspot:
-        profiler = HotspotProfiler(mode=options.hotspot_mode)
-        profiler.start()
-    try:
-        cache_dir = None if options.no_cache else options.cache_dir
-        with session(jobs=options.jobs, cache_dir=cache_dir,
-                     retry=RetryPolicy(max_retries=options.retries),
-                     timeout_s=options.timeout_s,
-                     progress=options.progress) as scoped:
-            yield scoped
-    finally:
-        if profiler is not None:
-            profile = profiler.stop()
-            if options.hotspot_out is not None:
-                with open(options.hotspot_out, "w", encoding="utf-8") as fh:
-                    fh.write(profile.collapsed())
-            else:
-                summary = profile.summary(top_n=3)
-                print(f"hotspot [{verb}]: {summary}", file=sys.stderr)
+    cache_dir = None if options.no_cache else options.cache_dir
+    with session(jobs=options.jobs, cache_dir=cache_dir,
+                 retry=RetryPolicy(max_retries=options.retries),
+                 timeout_s=options.timeout_s,
+                 progress=options.progress) as scoped:
+        yield scoped
 
 
 def estimate(design_spec: DesignLike, *,
              technology: TechnologyLike = "rsfq",
              options: Optional[RunOptions] = None) -> NPUEstimate:
     """Frequency / power / area estimation of one design point."""
-    with _execution_scope("estimate", options) as scoped:
+    with _execution_scope(options) as scoped:
         return scoped.estimate(design(design_spec), library(technology))
 
 
@@ -295,7 +276,7 @@ def simulate(design_spec: DesignLike, workload_spec: WorkloadLike, *,
     network = workload(workload_spec)
     lib = library(technology)
     resolved_batch = batch if batch is not None else batch_for(config, network)
-    with _execution_scope("simulate", options) as scoped:
+    with _execution_scope(options) as scoped:
         if timeline is not None:
             from repro.simulator.engine import simulate as engine_simulate
 
@@ -311,7 +292,7 @@ def evaluate(designs: Optional[Sequence[DesignLike]] = None,
              tpu: CMOSNPUConfig = TPU_CORE,
              options: Optional[RunOptions] = None) -> EvaluationSuite:
     """The Fig. 23 suite: TPU baseline + design points x workloads."""
-    with _execution_scope("evaluate", options) as scoped:
+    with _execution_scope(options) as scoped:
         return evaluate_suite(
             designs=None if designs is None else [design(d) for d in designs],
             workloads=None if workloads is None
@@ -327,7 +308,7 @@ def compare(designs: Sequence[DesignLike],
             technology: TechnologyLike = "rsfq",
             options: Optional[RunOptions] = None) -> List[ComparisonColumn]:
     """Side-by-side scorecards for any set of design points."""
-    with _execution_scope("compare", options) as scoped:
+    with _execution_scope(options) as scoped:
         return _compare(
             [design(d) for d in designs],
             workloads=None if workloads is None
@@ -342,7 +323,7 @@ def ablate(base: Optional[DesignLike] = None,
            technology: TechnologyLike = "rsfq",
            options: Optional[RunOptions] = None) -> List[AblationRow]:
     """One-factor-at-a-time ablation of a design (default: SuperNPU)."""
-    with _execution_scope("ablate", options) as scoped:
+    with _execution_scope(options) as scoped:
         return ablation_study(
             workloads=None if workloads is None
             else [workload(w) for w in workloads],
@@ -366,13 +347,13 @@ def run_plan(plan_or_name: Union[str, ExperimentPlan], *,
              options: Optional[RunOptions] = None) -> ResultSet:
     """Execute a plan (or a registered plan name) through the job engine.
 
-    Inherits the ambient runner's cache, parallel fan-out, retry/timeout
-    handling, and checkpoint resume; returns provenance-stamped per-point
-    results.
+    Inherits the ambient runner's cache (which is also how a killed run
+    resumes), parallel fan-out, and retry/timeout handling; returns
+    provenance-stamped per-point results.
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
-    with _execution_scope("run_plan", options) as scoped:
+    with _execution_scope(options) as scoped:
         return _execute_plan(resolved, runner=scoped)
 
 
@@ -381,15 +362,15 @@ def evaluate_grid(plan_or_name: Union[str, ExperimentPlan], *,
     """Run a plan and return dense, axis-shaped per-grid result arrays.
 
     The lowered design points still execute through the job engine as
-    one deduplicated submission (cache, fan-out, retries, checkpoints
-    all apply); the returned :class:`GridEvaluation` adds the vectorized
+    one deduplicated submission (cache, fan-out, and retries all
+    apply); the returned :class:`GridEvaluation` adds the vectorized
     result surface — ``evaluation.grid().array("mac_per_s")`` is the
     whole grid as one numpy array, shaped by the grid's axes, instead of
     a hand-rolled loop over per-point records.
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
-    with _execution_scope("evaluate_grid", options) as scoped:
+    with _execution_scope(options) as scoped:
         return _evaluate_grid(resolved, runner=scoped)
 
 

@@ -22,13 +22,12 @@ Commands mirror the paper's experiments:
   invocation is recorded there (``~/.supernpu/runs/`` by default;
   ``--runs-dir DIR`` overrides, ``--no-registry`` opts out);
   ``list --command SUBSTR`` filters by command name / argv
-* ``hotspot <command...>`` — run any other supernpu command under the
+* ``hotspot [--top N] [--hotspot-mode M] [--hotspot-out FILE] <command...>``
+  — the one way to profile: run any other supernpu command under the
   host-time profiler (wall-clock sampling, or deterministic tracing for
-  sub-millisecond commands); ``simulate``, ``evaluate``, ``plan run``
-  and ``bench run`` also take ``--hotspot`` / ``--hotspot-out FILE`` /
-  ``--hotspot-mode`` / ``--sample-hz`` directly.  All profiler output
-  goes to stderr, so the profiled command's stdout stays
-  bitwise-identical to an unprofiled run
+  sub-millisecond commands).  All profiler output goes to stderr, so
+  the profiled command's stdout stays bitwise-identical to an
+  unprofiled run; a profiled ``simulate`` adds the cycle-domain join
 
 ``simulate``, ``evaluate``, ``sweep``, ``compare``, ``reproduce``,
 ``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
@@ -42,8 +41,11 @@ Commands that fan out many design-point simulations (``simulate``,
 ``evaluate``, ``compare``, ``sweep``, ``reproduce``) accept
 ``--jobs N`` (parallel worker processes; default 1 = serial),
 ``--cache-dir DIR`` (content-addressed on-disk result cache: warm
-re-runs skip simulation entirely), and ``--no-cache``.  ``supernpu
-cache stats|clear --cache-dir DIR`` inspects / empties a cache.
+re-runs skip simulation entirely, and a killed run resumes from it),
+and ``--no-cache``; these flags build one :class:`repro.api.RunOptions`.
+``supernpu cache stats|clear --cache-dir DIR`` inspects / empties a
+cache.  A design is named positionally everywhere: a paper design
+point or a path to a JSON config file.
 Parallel and warm-cache results are bitwise-identical to serial cold
 runs.  ``estimate``, ``simulate``, ``evaluate`` and ``compare`` accept
 ``--json``: one consistent machine-readable envelope
@@ -81,50 +83,19 @@ class _ObsSession:
         self.trace_out: Optional[str] = getattr(args, "trace_out", None)
         self.metrics_out: Optional[str] = getattr(args, "metrics_out", None)
         self.active = force or bool(self.trace_out or self.metrics_out)
-        self.hotspot_out: Optional[str] = getattr(args, "hotspot_out", None)
-        self.hotspot = bool(getattr(args, "hotspot", False) or self.hotspot_out)
-        self._profiler = None
         self._start = time.perf_counter()
         if self.active:
             from repro import obs
 
             obs.reset()
             obs.enable()
-        if self.hotspot:
-            from repro.obs.hotspot import HotspotProfiler
-
-            self._profiler = HotspotProfiler(
-                mode=getattr(args, "hotspot_mode", None) or "sampling",
-                sample_hz=getattr(args, "sample_hz", None) or 97.0,
-            )
-            self._profiler.start()
-
-    def _finish_hotspot(self, phase_fractions=None):
-        """Stop the profiler and report it — stderr only, never stdout.
-
-        The command's stdout must stay bitwise-identical with and without
-        ``--hotspot``; everything the profiler says rides on stderr.
-        Returns the compact summary for the run registry, or None.
-        """
-        if self._profiler is None:
-            return None
-        profile = self._profiler.stop()
-        self._profiler = None
-        print(profile.report(phase_fractions=phase_fractions), file=sys.stderr)
-        if self.hotspot_out:
-            with open(self.hotspot_out, "w", encoding="utf-8") as handle:
-                handle.write(profile.collapsed())
-            print(f"collapsed stacks written to {self.hotspot_out}",
-                  file=sys.stderr)
-        return profile.summary()
 
     def finish(self, config=None, network=None, batch=None, technology=None,
-               keep_enabled: bool = False, hotspot_phases=None, **extra):
+               keep_enabled: bool = False, **extra):
         """Write the requested outputs; returns the manifest (or None)."""
         from repro import obs
         from repro.obs import registry as run_registry
 
-        hotspot_summary = self._finish_hotspot(hotspot_phases)
         manifest = obs.RunManifest.capture(
             self.command,
             config=config,
@@ -138,10 +109,7 @@ class _ObsSession:
             # Manifest capture is pure (no instrumentation needed), so the
             # run registry gets design/workload provenance even when the
             # obs runtime stayed off; counters exist only when it was on.
-            staged = {"manifest": manifest.to_dict()}
-            if hotspot_summary is not None:
-                staged["hotspot"] = hotspot_summary
-            run_registry.stage(**staged)
+            run_registry.stage(manifest=manifest.to_dict())
             return None
         if self.metrics_out:
             obs.write_metrics(self.metrics_out, manifest=manifest)
@@ -152,11 +120,8 @@ class _ObsSession:
         # Stage manifest + metrics for the run registry before the global
         # state is reset; main() finalizes the entry with exit code and
         # wall time once the command returns.
-        staged = {"manifest": manifest.to_dict(),
-                  "metrics": obs.metrics().snapshot()}
-        if hotspot_summary is not None:
-            staged["hotspot"] = hotspot_summary
-        run_registry.stage(**staged)
+        run_registry.stage(manifest=manifest.to_dict(),
+                           metrics=obs.metrics().snapshot())
         if not keep_enabled:
             obs.disable()
             obs.reset()
@@ -166,16 +131,12 @@ class _ObsSession:
 def _resolve_design(args: argparse.Namespace):
     """One resolver for every design-taking command.
 
-    ``--config-file`` wins when given; otherwise the positional design
-    goes through :func:`repro.api.design`, which accepts both named
-    design points and paths to JSON config files.
+    The positional design goes through :func:`repro.api.design`, which
+    accepts both named design points and paths to JSON config files.
     """
     from repro import api
 
-    if getattr(args, "config_file", None):
-        config = api.design(args.config_file)
-    else:
-        config = api.design(args.design)
+    config = api.design(args.design)
     # Component-technology overrides (commands with the flags only);
     # with_updates re-validates the names against the registry.
     overrides = {}
@@ -190,44 +151,33 @@ def _resolve_design(args: argparse.Namespace):
 
 @contextmanager
 def _jobs_session(args: argparse.Namespace):
-    """Install the job runner the command's --jobs/--cache-dir flags ask for.
+    """Run the command under the :class:`repro.api.RunOptions` its flags ask for.
 
     On exit, prints a one-line cache summary when a cache was in play, so
-    warm runs visibly report their hit rate.  When a cache directory is
-    given, a checkpoint journal lives beside it
-    (``<cache>/checkpoints/<command>.journal``) so a killed run resumes.
+    warm runs visibly report their hit rate.
     """
-    from pathlib import Path
-
-    from repro.core import jobs
-    from repro.core.resilience import RetryPolicy
-
-    workers = getattr(args, "jobs", None) or 1
-    cache_dir = None
-    if not getattr(args, "no_cache", False):
-        cache_dir = getattr(args, "cache_dir", None)
-    checkpoint_path = None
-    if cache_dir is not None and getattr(args, "command", None):
-        checkpoint_path = (Path(cache_dir).expanduser() / "checkpoints"
-                           / f"{args.command}.journal")
-    retry = RetryPolicy(max_retries=getattr(args, "retries", 2))
-    timeout_s = getattr(args, "task_timeout", None)
-    # Live progress goes to stderr only, so sweep stdout (tables, JSON
-    # envelopes) stays bitwise-identical with progress on or off.
+    from repro import api
     from repro.obs.progress import auto_reporter
 
-    reporter = auto_reporter(getattr(args, "progress", None))
+    # Live progress goes to stderr only, so sweep stdout (tables, JSON
+    # envelopes) stays bitwise-identical with progress on or off.
+    options = api.RunOptions(
+        jobs=getattr(args, "jobs", None) or 1,
+        cache_dir=getattr(args, "cache_dir", None),
+        no_cache=getattr(args, "no_cache", False),
+        retries=getattr(args, "retries", 2),
+        timeout_s=getattr(args, "task_timeout", None),
+        progress=auto_reporter(getattr(args, "progress", None)),
+    )
     # Summary lines go to stderr under --json so stdout stays one document.
     stream = sys.stderr if getattr(args, "json", False) else sys.stdout
-    with jobs.session(jobs=workers, cache_dir=cache_dir, retry=retry,
-                      timeout_s=timeout_s, checkpoint_path=checkpoint_path,
-                      progress=reporter) as runner:
+    with api._execution_scope(options) as runner:
         yield runner
         if runner.cache is not None:
             print(f"cache [{runner.cache.root}]: {runner.stats.describe()}",
                   file=stream)
-        if workers > 1 and runner.stats.elapsed_seconds > 0:
-            print(f"jobs: {workers} workers, "
+        if options.jobs > 1 and runner.stats.elapsed_seconds > 0:
+            print(f"jobs: {options.jobs} workers, "
                   f"{runner.stats.parallel_speedup:.2f}x aggregate-sim-time speedup",
                   file=stream)
         stats = runner.stats
@@ -291,6 +241,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.obs.hotspot import active_profiler
     from repro.simulator.power import power_report
 
     config = _resolve_design(args)
@@ -302,16 +253,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         run = api.simulate(config, network, batch=args.batch, technology=library)
         power = power_report(run, estimate)
         breakdown = run.cycle_breakdown()
-        hotspot_phases = None
-        if session.hotspot:
-            # Join host self-time with the run's simulated-cycle phase
-            # attribution so the report answers "which loop models the
-            # phase that dominates simulated time".  Raw per-phase
-            # fractions; the report groups them into compute /
-            # preparation / dram itself.
+        profiler = active_profiler()
+        if profiler is not None:
+            # Under ``supernpu hotspot``: join host self-time with the
+            # run's simulated-cycle phase attribution so the report
+            # answers "which loop models the phase that dominates
+            # simulated time".  Raw per-phase fractions; the report
+            # groups them into compute / preparation / dram itself.
             from repro.simulator.attribution import attribute
 
-            hotspot_phases = dict(attribute(run).summary_fractions)
+            profiler.profile.phase_fractions = dict(attribute(run).summary_fractions)
         if args.json:
             from repro.core.report import simulation_record
 
@@ -319,8 +270,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                             config=config, network=network, batch=run.batch,
                             technology=args.technology)
             session.finish(config=config, network=network, batch=run.batch,
-                           technology=args.technology,
-                           hotspot_phases=hotspot_phases)
+                           technology=args.technology)
             return 0
         print(f"{config.name} running {network.name} (batch {run.batch})")
         print(f"  cycles      : {run.total_cycles:,}")
@@ -336,8 +286,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  chip power  : {power.total_w:.2f} W "
               f"(static {power.static_w:.2f} + dynamic {power.dynamic_w:.2f})")
         session.finish(config=config, network=network, batch=run.batch,
-                       technology=args.technology,
-                       hotspot_phases=hotspot_phases)
+                       technology=args.technology)
     return 0
 
 
@@ -476,30 +425,26 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     """Per-layer bound attribution, critical layers, roofline, timeline."""
     import json
 
-    from repro import obs
-    from repro.core.batching import batch_for
-    from repro.device.cells import Technology, library_for
-    from repro.estimator.arch_level import estimate_npu
+    from repro import api, obs
     from repro.simulator.attribution import (
         attribute,
         attribution_records,
         roofline,
         roofline_records,
     )
-    from repro.simulator.engine import simulate
     from repro.simulator.utilization import utilization_report
-    from repro.workloads.models import by_name
 
     config = _resolve_design(args)
-    network = by_name(args.workload)
+    network = api.workload(args.workload)
     session = _ObsSession(args, "bottleneck")
-    library = library_for(Technology(args.technology))
-    estimate = estimate_npu(config, library)
-    batch = args.batch or batch_for(config, network)
+    library = api.library(args.technology)
+    estimate = api.estimate(config, technology=library)
     timeline = obs.CycleTimeline(
         estimate.frequency_ghz, design=config.name, network=network.name
     )
-    run = simulate(config, network, batch=batch, estimate=estimate, timeline=timeline)
+    run = api.simulate(config, network, batch=args.batch, technology=library,
+                       timeline=timeline)
+    batch = run.batch
     report = attribute(run)
     roof = roofline(run, estimate.peak_mac_per_s, config.memory_bandwidth_gbps)
     util = utilization_report(run)
@@ -1084,13 +1029,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import bench
 
     if args.action == "run":
-        hotspot_mode = None
-        if args.hotspot or args.hotspot_out:
-            hotspot_mode = args.hotspot_mode or "sampling"
         document = bench.run_benchmarks(
             args.subset, min_rounds=args.min_rounds, max_time_s=args.max_time,
-            label=args.label, hotspot_mode=hotspot_mode,
-            hotspot_hz=args.sample_hz)
+            label=args.label)
         path = bench.write_document(document, path=args.out)
         if args.json:
             _print_envelope("bench", document, action="run", subset=args.subset)
@@ -1103,19 +1044,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 print(f"  {name:<58s} min {stats['min_s'] * 1e3:9.3f} ms  "
                       f"mean {stats['mean_s'] * 1e3:9.3f} ms  "
                       f"({stats['rounds']} rounds)")
-        hotspot_doc = document.get("hotspot")
-        if hotspot_doc:
-            from repro.obs import registry as run_registry
-            from repro.obs.hotspot import HotspotProfile
-
-            profile = HotspotProfile.from_dict(hotspot_doc["profile"])
-            print(profile.report(), file=sys.stderr)
-            if args.hotspot_out:
-                with open(args.hotspot_out, "w", encoding="utf-8") as handle:
-                    handle.write(hotspot_doc.get("collapsed", ""))
-                print(f"collapsed stacks written to {args.hotspot_out}",
-                      file=sys.stderr)
-            run_registry.stage(hotspot=hotspot_doc.get("summary"))
         return 0
 
     # compare: candidate vs an explicit --baseline or the newest committed one
@@ -1221,7 +1149,10 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
 
     Runs the wrapped command in-process under a :class:`HotspotProfiler`
     and prints the top-N table to stderr — the wrapped command's stdout
-    is bitwise-identical to an unprofiled run.  ``tracing`` mode is the
+    is bitwise-identical to an unprofiled run.  A wrapped ``simulate``
+    hands its simulated-cycle phase fractions to the profile, so the
+    report adds the cycle-domain join; a wrapped ``bench run`` folds the
+    benchmark subprocess's samples in.  ``tracing`` mode is the
     right choice for sub-millisecond commands (deterministic, counts
     calls); ``sampling`` (default) for anything that runs long enough to
     collect samples.
@@ -1240,8 +1171,7 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
             hint="e.g. supernpu hotspot --hotspot-mode tracing "
                  "simulate supernpu mobilenet",
         )
-    profiler = HotspotProfiler(mode=args.hotspot_mode,
-                               sample_hz=args.sample_hz)
+    profiler = HotspotProfiler(mode=args.hotspot_mode)
     profiler.start()
     try:
         exit_code = main(inner)
@@ -1255,6 +1185,18 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
               file=sys.stderr)
     run_registry.stage(hotspot=profile.summary())
     return exit_code
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts (``--top``, ``--limit``): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -1287,24 +1229,6 @@ def _add_jobs_flags(parser: argparse.ArgumentParser) -> None:
                              "to stderr; default: only when stderr is a tty")
     parser.add_argument("--no-progress", dest="progress", action="store_false",
                         help="never stream sweep progress")
-
-
-def _add_hotspot_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hotspot", action="store_true",
-                        help="profile this command's own host time; the "
-                             "top-N table goes to stderr (stdout is "
-                             "bitwise-identical to an unprofiled run)")
-    parser.add_argument("--hotspot-out", metavar="FILE", default=None,
-                        help="write collapsed stacks (flamegraph.pl / "
-                             "speedscope format); implies --hotspot")
-    parser.add_argument("--hotspot-mode", choices=["sampling", "tracing"],
-                        default="sampling",
-                        help="sampling (default; wall-clock samples) or "
-                             "tracing (deterministic sys.setprofile hook; "
-                             "use for sub-millisecond commands)")
-    parser.add_argument("--sample-hz", type=float, default=97.0, metavar="HZ",
-                        help="sampling rate for --hotspot-mode sampling "
-                             "(default 97, prime to dodge periodic aliasing)")
 
 
 def _add_component_flags(parser: argparse.ArgumentParser) -> None:
@@ -1341,7 +1265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="frequency / power / area of a design")
     p_est.add_argument("design", nargs="?", default="supernpu")
     p_est.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_est.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     _add_component_flags(p_est)
     _add_json_flag(p_est)
     p_est.set_defaults(func=cmd_estimate)
@@ -1351,11 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("workload")
     p_sim.add_argument("--batch", type=int, default=None)
     p_sim.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_sim.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     _add_component_flags(p_sim)
     _add_obs_flags(p_sim)
     _add_jobs_flags(p_sim)
-    _add_hotspot_flags(p_sim)
     _add_json_flag(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -1368,7 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("workload")
     p_prof.add_argument("--batch", type=int, default=None)
     p_prof.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_prof.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     _add_obs_flags(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
@@ -1381,8 +1301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bott.add_argument("workload")
     p_bott.add_argument("--batch", type=int, default=None)
     p_bott.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_bott.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
-    p_bott.add_argument("--top", type=int, default=5,
+    p_bott.add_argument("--top", type=_positive_int, default=5,
                         help="how many critical layers to rank (default 5)")
     p_bott.add_argument("--json", action="store_true",
                         help="emit the full report as JSON")
@@ -1395,7 +1314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_floor = sub.add_parser("floorplan", help="block placement and interfaces")
     p_floor.add_argument("design", nargs="?", default="supernpu")
-    p_floor.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     p_floor.set_defaults(func=cmd_floorplan)
 
     p_energy = sub.add_parser("energy", help="joules per image across designs")
@@ -1405,7 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="full Fig. 23 speedup comparison")
     _add_obs_flags(p_eval)
     _add_jobs_flags(p_eval)
-    _add_hotspot_flags(p_eval)
     _add_json_flag(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -1432,7 +1349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", choices=["json", "csv"], default="json")
     p_report.add_argument("--layers", action="store_true",
                           help="emit per-layer records instead of the summary")
-    p_report.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     p_report.set_defaults(func=cmd_report)
 
     p_compare = sub.add_parser("compare", help="side-by-side design comparison")
@@ -1464,7 +1380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("layer")
     p_trace.add_argument("--batch", type=int, default=1)
     p_trace.add_argument("--format", choices=["summary", "csv"], default="summary")
-    p_trace.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     p_trace.set_defaults(func=cmd_trace)
 
     p_plan = sub.add_parser(
@@ -1477,7 +1392,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a registered plan name (see 'plan list')")
     _add_obs_flags(p_plan)
     _add_jobs_flags(p_plan)
-    _add_hotspot_flags(p_plan)
     _add_json_flag(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -1533,7 +1447,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "label and write it as BENCH_<label>.json — "
                               "use one label per PR to grow a committed "
                               "performance trajectory")
-    _add_hotspot_flags(p_bench)
     _add_json_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -1546,7 +1459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs.add_argument("ids", nargs="*", default=[],
                         help="run id (show) or two run ids (diff); unique "
                              "prefixes are accepted")
-    p_runs.add_argument("--limit", type=int, default=20, metavar="N",
+    p_runs.add_argument("--limit", type=_positive_int, default=20, metavar="N",
                         help="how many entries 'list' shows (default 20)")
     p_runs.add_argument("--command", dest="command_filter", default=None,
                         metavar="SUBSTR",
@@ -1561,7 +1474,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run another supernpu command under the host-time profiler "
              "(top-N table on stderr; stdout untouched)",
     )
-    p_hot.add_argument("--top", type=int, default=10, metavar="N",
+    p_hot.add_argument("--top", type=_positive_int, default=10, metavar="N",
                        help="how many functions the report ranks (default 10)")
     p_hot.add_argument("--hotspot-out", metavar="FILE", default=None,
                        help="write collapsed stacks (flamegraph.pl / "
@@ -1570,8 +1483,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sampling",
                        help="sampling (default) or deterministic tracing "
                             "(use for sub-millisecond commands)")
-    p_hot.add_argument("--sample-hz", type=float, default=97.0, metavar="HZ",
-                       help="sampling rate (default 97)")
     p_hot.add_argument("argv", nargs=argparse.REMAINDER,
                        help="the supernpu command line to profile, e.g. "
                             "'simulate supernpu mobilenet'")

@@ -35,7 +35,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Union
 
 from repro.errors import ConfigError
 
@@ -108,10 +108,6 @@ class ChaosInjector:
             os.close(handle)
             return True
         return False
-
-    def planned_fault(self, key: str) -> Optional[FaultSpec]:
-        """The spec that would apply to ``key`` (budget not consulted)."""
-        return self.faults.get(key) or self.faults.get(ANY_TASK)
 
     def fire(self, key: str) -> None:
         """Inject the planned failure for ``key``, if budget remains."""

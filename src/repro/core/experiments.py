@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.device.cells import CellLibrary, Technology, library_for
-from repro.errors import ReproError, SimulationError
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.workloads.models import Network, all_workloads
 
 
@@ -225,7 +225,12 @@ def reproduce_all(
         selected = list(EXPERIMENTS) + (list(EXTENSIONS) if include_extensions else [])
     unknown = set(selected) - set(registry)
     if unknown:
-        raise KeyError(f"unknown experiments {sorted(unknown)}; known: {sorted(registry)}")
+        raise ConfigError(
+            f"unknown experiments {sorted(unknown)}",
+            code="config.unknown_experiment",
+            hint=f"known experiments: {', '.join(sorted(registry))}",
+            unknown=sorted(unknown),
+        )
 
     results: Dict[str, object] = {}
     for name in selected:

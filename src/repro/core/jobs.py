@@ -19,10 +19,10 @@ module turns that fan-out into an explicit job layer:
   failures a long sweep actually hits: per-task wall-clock timeouts,
   bounded retry with backoff + jitter for transient worker failures
   (:class:`repro.core.resilience.RetryPolicy`), ``BrokenProcessPool``
-  recovery that re-executes stranded tasks, graceful degradation to
-  serial execution when the pool dies twice, and a
-  :class:`repro.core.resilience.SweepCheckpoint` journal so a killed
-  sweep resumes instead of restarting.
+  recovery that re-executes stranded tasks, and graceful degradation
+  to serial execution when the pool dies twice.  Each completed task is
+  written to the cache at once, so a killed sweep re-run against the
+  same cache resumes instead of restarting.
 
 A task is keyed once: :meth:`SimTask.key` and :func:`estimate_key` hash
 the canonical JSON of their signature document, spliced from memoized
@@ -46,7 +46,7 @@ with :func:`use_runner` or :func:`session`::
 Cache and resilience counters are exported through the ``repro.obs``
 metrics registry (``jobs.cache.hits``, ``jobs.cache.misses``,
 ``jobs.sim.executed``, ``jobs.retries``, ``jobs.timeouts``,
-``jobs.degraded``, ``jobs.resumed``, ``jobs.cache.quarantined``, ...).
+``jobs.degraded``, ``jobs.cache.quarantined``, ...).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from repro.components.base import (
     DEFAULT_MEMORY_TECHNOLOGY,
 )
 from repro.core.chaos import ChaosInjector
-from repro.core.resilience import RetryPolicy, SweepCheckpoint
+from repro.core.resilience import RetryPolicy
 from repro.obs.progress import ProgressReporter
 from repro.device.cells import CellLibrary, Technology, library_for
 from repro.errors import CacheError, ConfigError, ReproError, WorkerError
@@ -721,7 +721,6 @@ class RunnerStats:
     timeouts: int = 0
     pool_restarts: int = 0
     degraded: int = 0
-    resumed: int = 0
     task_seconds: float = 0.0
     elapsed_seconds: float = 0.0
 
@@ -745,8 +744,6 @@ class RunnerStats:
             line += f", {self.retries} retries"
         if self.timeouts:
             line += f", {self.timeouts} timeouts"
-        if self.resumed:
-            line += f", {self.resumed} resumed from checkpoint"
         if self.degraded:
             line += " [degraded to serial]"
         return line
@@ -786,15 +783,14 @@ class JobRunner:
     * a broken pool (e.g. a SIGKILLed worker) is rebuilt once; if the
       pool dies a second time the runner degrades to serial execution and
       finishes the sweep in-process (``jobs.degraded``);
-    * completed tasks are written to the cache and the ``checkpoint``
-      journal *immediately*, so a killed run resumes from where it died
-      (``jobs.resumed`` counts journaled tasks served from cache).
+    * completed tasks are written to the cache *immediately*, so a
+      killed run re-run against the same cache resumes from where it
+      died: the finished tasks are cache hits.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  retry: Optional[RetryPolicy] = None,
                  timeout_s: Optional[float] = None,
-                 checkpoint: Optional[SweepCheckpoint] = None,
                  chaos: Optional[ChaosInjector] = None,
                  progress: Optional[ProgressReporter] = None) -> None:
         if jobs < 1:
@@ -807,7 +803,6 @@ class JobRunner:
         self.cache = cache
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout_s = timeout_s
-        self.checkpoint = checkpoint
         self.chaos = chaos
         self.progress = progress
         self.stats = RunnerStats()
@@ -842,7 +837,6 @@ class JobRunner:
         results: List[Optional[SimulationResult]] = [None] * len(tasks)
         hits = set()
         pending: List[int] = []
-        resumed = 0
         try:
             for index, key in enumerate(keys):
                 result = self._cached_result(key)
@@ -853,8 +847,6 @@ class JobRunner:
                 results[index] = result
                 hits.add(key)
                 self._emit("cached", key)
-                if self.checkpoint is not None and key in self.checkpoint:
-                    resumed += 1
 
             task_seconds = 0.0
             if pending:
@@ -870,7 +862,7 @@ class JobRunner:
 
         elapsed = time.perf_counter() - started
         self._account(len(tasks), len(tasks) - len(pending), len(pending), task_seconds,
-                      elapsed, resumed)
+                      elapsed)
         return RunResults(results, frozenset(hits))
 
     def run_one(self, task: SimTask) -> SimulationResult:
@@ -895,7 +887,7 @@ class JobRunner:
                      result: SimulationResult,
                      results: List[Optional[SimulationResult]],
                      payload: Optional[Dict[str, Any]] = None) -> None:
-        """Record one completed task: result slot, cache, journal.
+        """Record one completed task: result slot and cache.
 
         ``payload`` is the result's encoding when it already has one (it
         came back from a worker); otherwise a cache write encodes it here.
@@ -905,8 +897,6 @@ class JobRunner:
             kind = "simulate_cmos" if task.is_cmos else "simulate"
             self.cache.put(key, payload if payload is not None else result_to_dict(result),
                            kind=kind)
-        if self.checkpoint is not None:
-            self.checkpoint.mark(key)
 
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
@@ -1188,20 +1178,17 @@ class JobRunner:
 
     # -- accounting ---------------------------------------------------
     def _account(self, tasks: int, hits: int, executed: int,
-                 task_seconds: float, elapsed: float, resumed: int = 0) -> None:
+                 task_seconds: float, elapsed: float) -> None:
         self.stats.tasks += tasks
         self.stats.hits += hits
         self.stats.misses += executed
         self.stats.executed += executed
-        self.stats.resumed += resumed
         self.stats.task_seconds += task_seconds
         self.stats.elapsed_seconds += elapsed
         obs.counter("jobs.tasks").add(tasks)
         obs.counter("jobs.cache.hits").add(hits)
         obs.counter("jobs.cache.misses").add(executed)
         obs.counter("jobs.sim.executed").add(executed)
-        if resumed:
-            obs.counter("jobs.resumed").add(resumed)
         obs.gauge("jobs.workers").set(self.jobs)
         obs.histogram("jobs.batch_seconds").observe(elapsed)
         if executed and elapsed > 0:
@@ -1234,23 +1221,12 @@ def session(jobs: int = 1, cache_dir: Optional[Union[str, Path]] = None,
             cache: Optional[ResultCache] = None,
             retry: Optional[RetryPolicy] = None,
             timeout_s: Optional[float] = None,
-            checkpoint: Optional[SweepCheckpoint] = None,
-            checkpoint_path: Optional[Union[str, Path]] = None,
             chaos: Optional[ChaosInjector] = None,
             progress: Optional[ProgressReporter] = None) -> Iterator[JobRunner]:
-    """Build a runner from knobs and install it (the CLI's entry point).
-
-    A checkpoint journal given here is cleared when the block exits
-    cleanly (the sweep finished; nothing to resume) and kept when the
-    block raises or the process dies (the next session resumes from it).
-    """
+    """Build a runner from knobs and install it for the enclosed block."""
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    if checkpoint is None and checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(checkpoint_path)
     runner = JobRunner(jobs=jobs, cache=cache, retry=retry, timeout_s=timeout_s,
-                       checkpoint=checkpoint, chaos=chaos, progress=progress)
+                       chaos=chaos, progress=progress)
     with use_runner(runner):
         yield runner
-    if checkpoint is not None:
-        checkpoint.clear()

@@ -20,9 +20,9 @@ hand-rolling that loop, a driver now declares the grid:
   whose simulation points carry content-addressed
   :class:`~repro.core.jobs.SimTask`\\ s;
 * :func:`execute` — runs a lowered plan through the ambient (or given)
-  :class:`~repro.core.jobs.JobRunner`, inheriting the cache, parallel
-  fan-out, retry/timeout handling, and ``SweepCheckpoint`` resume for
-  free, and returns a :class:`ResultSet` of provenance-stamped
+  :class:`~repro.core.jobs.JobRunner`, inheriting the cache (and with
+  it resume), parallel fan-out, and retry/timeout handling for free,
+  and returns a :class:`ResultSet` of provenance-stamped
   :class:`PlanResult` records;
 * :func:`evaluate_grid` — :func:`execute` plus a dense axis-shaped
   result surface per grid (:class:`EvaluatedGrid`), for figure code
@@ -597,7 +597,7 @@ def execute(plan: ExperimentPlan, runner: Optional[JobRunner] = None) -> ResultS
 
     Unique simulation tasks go to the runner as one keyed mapping (so
     ``jobs > 1`` fans the entire plan out at once and every point is
-    individually cached / checkpointed); estimate points resolve through
+    individually cached); estimate points resolve through
     the runner's estimate memo under their lowered keys.  A point is
     ``cached`` when the runner's cache really served it.  Returns
     provenance-stamped per-point results in lowering order.
@@ -755,8 +755,8 @@ def evaluate_grid(plan: ExperimentPlan,
     """Execute a plan and reshape its points onto dense per-grid arrays.
 
     The whole plan still goes through :func:`execute` as one deduplicated
-    submission (per-point caching, parallel fan-out, retries, and
-    checkpoint resume all apply unchanged); what this adds is the dense
+    submission (per-point caching, parallel fan-out, and retries all
+    apply unchanged); what this adds is the dense
     grid-shaped result surface — ``evaluation.grid().array("mac_per_s")``
     instead of a hand-rolled loop over :meth:`ResultSet.select`.
     """

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, SimulationError
+from repro.obs.hotspot import absorb, active_profiler
 from repro.obs.manifest import RunManifest
 
 #: Bump when the BENCH document layout changes meaning.
@@ -181,8 +182,6 @@ def run_benchmarks(subset: str = "all", *,
                    max_time_s: float = 0.5,
                    timeout_s: float = 1800.0,
                    label: Optional[str] = None,
-                   hotspot_mode: Optional[str] = None,
-                   hotspot_hz: float = 97.0,
                    pytest_args: Sequence[str] = ()) -> Dict[str, Any]:
     """Run the suite in a pytest subprocess; returns the BENCH document.
 
@@ -193,10 +192,13 @@ def run_benchmarks(subset: str = "all", *,
     stats JSON alongside; both are folded into the returned document.
 
     ``label`` names the trajectory point (sets the default filename to
-    ``BENCH_<label>.json``).  ``hotspot_mode`` ("sampling" or "tracing")
-    asks the benchmark conftest to profile the whole session host-side
-    (``SUPERNPU_BENCH_HOTSPOT_*`` env vars); the resulting summary and
-    collapsed stacks fold into the document's ``hotspot`` field.
+    ``BENCH_<label>.json``).  Under an active
+    :class:`~repro.obs.hotspot.HotspotProfiler` (``supernpu hotspot bench
+    run``), the benchmark conftest profiles the whole session host-side
+    in the same mode and at the same rate (``SUPERNPU_BENCH_HOTSPOT_*``
+    env vars), the way pool workers follow the profiler; the subprocess
+    profile folds into the document's ``hotspot`` field and into the
+    active profiler.
     """
     if min_rounds < 1:
         raise ConfigError("min_rounds must be >= 1",
@@ -210,10 +212,11 @@ def run_benchmarks(subset: str = "all", *,
         hotspot_path = Path(scratch) / "bench-hotspot.json"
         env = dict(os.environ)
         env["SUPERNPU_BENCH_METRICS_OUT"] = str(metrics_path)
-        if hotspot_mode is not None:
+        profiler = active_profiler()
+        if profiler is not None:
             env[HOTSPOT_OUT_ENV] = str(hotspot_path)
-            env[HOTSPOT_MODE_ENV] = hotspot_mode
-            env[HOTSPOT_HZ_ENV] = str(hotspot_hz)
+            env[HOTSPOT_MODE_ENV] = profiler.mode
+            env[HOTSPOT_HZ_ENV] = str(profiler.sample_hz)
         src = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -253,11 +256,13 @@ def run_benchmarks(subset: str = "all", *,
             counters = metrics_doc.get("metrics", {}).get("counters", {})
             histograms = metrics_doc.get("metrics", {}).get("histograms", {})
         hotspot_doc: Optional[Dict[str, Any]] = None
-        if hotspot_mode is not None and hotspot_path.is_file():
+        if profiler is not None and hotspot_path.is_file():
             try:
                 hotspot_doc = json.loads(hotspot_path.read_text(encoding="utf-8"))
             except ValueError:
                 hotspot_doc = None
+            else:
+                absorb(hotspot_doc["profile"])
     wall = time.perf_counter() - started
 
     benchmarks: Dict[str, Dict[str, Any]] = {}

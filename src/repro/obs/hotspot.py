@@ -212,6 +212,10 @@ class HotspotProfile:
         self.stack_seconds: Dict[StackKey, float] = {}
         self.stack_counts: Dict[StackKey, int] = {}
         self.calls: Dict[FrameKey, int] = {}
+        #: Simulated-cycle phase fractions of the profiled run, when the
+        #: run knows them (a profiled ``simulate``); :meth:`report` joins
+        #: them with host time.
+        self.phase_fractions: Optional[Dict[str, float]] = None
         self._lock = threading.Lock()
 
     # -- recording ------------------------------------------------------
@@ -353,7 +357,13 @@ class HotspotProfile:
     # -- reporting ------------------------------------------------------
     def report(self, top_n: int = 10,
                phase_fractions: Optional[Dict[str, float]] = None) -> str:
-        """Human-readable top-N hotspot table (stderr-destined)."""
+        """Human-readable top-N hotspot table (stderr-destined).
+
+        ``phase_fractions`` defaults to the profile's own; either adds
+        the cycle-domain join table.
+        """
+        if phase_fractions is None:
+            phase_fractions = self.phase_fractions
         stats = self.function_stats()
         total = sum(stat.self_s for stat in stats)
         header = (f"hotspot [{self.mode}]: {len(stats)} functions, "

@@ -52,7 +52,7 @@ def config_content_hash(config: Any) -> str:
 
     Hashes the canonical (sorted-key) JSON serialization, so two configs
     with identical fields hash identically regardless of provenance
-    (named design vs ``--config-file``).
+    (named design vs a JSON config file).
     """
     from repro.core.config_io import dumps
 

@@ -46,7 +46,9 @@ def test_run_options_defaults_and_frozen():
     assert not options.no_cache
     assert options.retries == 2
     assert options.timeout_s is None
-    assert not options.hotspot
+    assert options.progress is None
+    assert list(options.__dataclass_fields__) == [
+        "jobs", "cache_dir", "no_cache", "retries", "timeout_s", "progress"]
     with pytest.raises(AttributeError):
         options.jobs = 4  # frozen: one immutable bundle, safely shareable
 
@@ -84,19 +86,17 @@ def test_options_no_cache_overrides_cache_dir(tmp_path, supernpu_config,
     assert not (tmp_path / "cache").exists()
 
 
-def test_options_hotspot_writes_collapsed_stacks(tmp_path, supernpu_config,
-                                                 tiny_network):
-    out = tmp_path / "hotspot.collapsed"
-    api.simulate(supernpu_config, tiny_network, batch=1,
-                 options=api.RunOptions(hotspot=True, hotspot_out=out))
-    assert out.exists()
+def test_options_hotspot_writes_collapsed_stacks(supernpu_config, tiny_network):
+    # Profiling wraps a verb; it is not one of its options.
+    with api.HotspotProfiler(mode="tracing") as profiler:
+        api.simulate(supernpu_config, tiny_network, batch=1,
+                     options=api.RunOptions())
+    assert "simulate_layer" in profiler.profile.collapsed()
 
 
-def test_options_bad_hotspot_mode_is_a_config_error(supernpu_config):
+def test_options_bad_hotspot_mode_is_a_config_error():
     with pytest.raises(ConfigError) as err:
-        api.estimate(supernpu_config,
-                     options=api.RunOptions(hotspot=True,
-                                            hotspot_mode="bogus"))
+        api.HotspotProfiler(mode="bogus")
     assert err.value.code == "hotspot.unknown_mode"
     assert "sampling" in err.value.hint and "tracing" in err.value.hint
 

@@ -130,16 +130,16 @@ def test_table3_command(capsys):
     assert "RSFQ-SuperNPU (w/ cooling)" in out
 
 
-def test_config_file_flow(tmp_path, capsys):
+def test_json_design_path_flow(tmp_path, capsys):
     from repro.core.config_io import save
     from repro.core.designs import supernpu
 
     path = tmp_path / "custom.json"
     save(supernpu().with_updates(name="my-npu", registers_per_pe=2), path)
-    assert main(["estimate", "--config-file", str(path)]) == 0
+    assert main(["estimate", str(path)]) == 0
     out = capsys.readouterr().out
     assert "my-npu" in out
-    assert main(["simulate", "googlenet", "--config-file", str(path)]) == 0
+    assert main(["simulate", str(path), "googlenet"]) == 0
     assert "my-npu running GoogLeNet" in capsys.readouterr().out
 
 
@@ -450,25 +450,23 @@ def test_evaluate_metrics_report_cache_counters(tmp_path, capsys):
     assert warm.get("jobs.sim.executed", 0) == 0
 
 
-def test_report_config_file_flag(tmp_path, capsys):
+def test_report_json_design_path(tmp_path, capsys):
     from repro.core.config_io import save
     from repro.core.designs import supernpu
 
     path = tmp_path / "custom.json"
     save(supernpu().with_updates(name="my-npu"), path)
-    assert main(["report", "supernpu", "alexnet", "--batch", "1",
-                 "--config-file", str(path)]) == 0
+    assert main(["report", str(path), "alexnet", "--batch", "1"]) == 0
     assert '"design": "my-npu"' in capsys.readouterr().out
 
 
-def test_trace_config_file_flag(tmp_path, capsys):
+def test_trace_json_design_path(tmp_path, capsys):
     from repro.core.config_io import save
     from repro.core.designs import baseline
 
     path = tmp_path / "custom.json"
     save(baseline().with_updates(name="my-npu"), path)
-    assert main(["trace", "baseline", "vgg16", "conv3_1",
-                 "--config-file", str(path)]) == 0
+    assert main(["trace", str(path), "vgg16", "conv3_1"]) == 0
     assert "my-npu / VGG16 / conv3_1" in capsys.readouterr().out
 
 
@@ -523,3 +521,51 @@ def test_plan_run_json_envelope(tmp_path, capsys):
     assert document["command"] == "plan"
     assert document["data"]["points_total"] == 6
     assert len(document["data"]["records"]) == 6
+
+
+def test_reproduce_unknown_experiment_exits_2(capsys):
+    assert main(["reproduce", "--only", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown experiments ['bogus']" in err
+    assert "hint: known experiments:" in err and "fig15_cycle_breakdown" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bottleneck", "supernpu", "resnet50", "--top", "0"],
+    ["bottleneck", "supernpu", "resnet50", "--top", "-1"],
+    ["runs", "list", "--limit", "-1"],
+    ["runs", "list", "--limit", "0"],
+    ["hotspot", "--top", "-1", "simulate", "supernpu", "mobilenet"],
+    ["hotspot", "--top", "x", "simulate", "supernpu", "mobilenet"],
+])
+def test_non_positive_counts_exit_2_before_output(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive integer" in captured.err
+
+
+def test_hotspot_simulate_keeps_stdout_and_joins_cycles(tmp_path, capsys):
+    assert main(["simulate", "supernpu", "mobilenet"]) == 0
+    plain = capsys.readouterr().out
+    out = tmp_path / "hotspot.collapsed"
+    assert main(["hotspot", "--hotspot-mode", "tracing", "--hotspot-out",
+                 str(out), "simulate", "supernpu", "mobilenet"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert out.read_text(encoding="utf-8")
+    assert "cycle-domain join" in captured.err
+
+
+def test_hotspot_follows_evaluate_into_pool_workers(tmp_path, capsys):
+    out = tmp_path / "hotspot.collapsed"
+    assert main(["hotspot", "--hotspot-mode", "tracing", "--hotspot-out",
+                 str(out), "evaluate", "--jobs", "2"]) == 0
+    capsys.readouterr()
+    # Only pool workers simulate SFQ designs here; their tracing samples
+    # reach the wrapper's profile through the worker sidecars.
+    leaves = [line.rsplit(" ", 1)[0].split(";")[-1]
+              for line in out.read_text(encoding="utf-8").splitlines()]
+    assert any(leaf.startswith("simulate_layer ") for leaf in leaves)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.experiments import EXPERIMENTS, reproduce_all
+from repro.errors import ConfigError
 from repro.workloads.models import mobilenet, resnet50
 
 
@@ -46,7 +47,7 @@ def test_json_artifacts_written(tmp_path, small_workloads):
 
 
 def test_unknown_experiment_rejected(small_workloads):
-    with pytest.raises(KeyError, match="unknown experiments"):
+    with pytest.raises(ConfigError, match="unknown experiments"):
         reproduce_all(workloads=small_workloads, only=["fig99"])
 
 

@@ -1,8 +1,8 @@
 """The chaos suite: every recovery path must reproduce the clean serial run.
 
 Exercises the resilient execution layer end to end — the error taxonomy,
-retry/timeout/degradation in :class:`repro.core.jobs.JobRunner`, sweep
-checkpointing, and cache quarantine — under failures injected by
+retry/timeout/degradation in :class:`repro.core.jobs.JobRunner`, resume
+from the result cache, and cache quarantine — under failures injected by
 :mod:`repro.core.chaos` (worker exceptions, hangs, SIGKILLed workers,
 corrupted cache entries).  The invariant throughout: recovered results
 are *equal* to a clean serial run's, and an interrupted sweep resumes
@@ -22,7 +22,7 @@ from repro.core.chaos import (
     corrupt_cache_entry,
 )
 from repro.core.jobs import JobRunner, ResultCache, SimTask, session
-from repro.core.resilience import NO_RETRY, RetryPolicy, SweepCheckpoint
+from repro.core.resilience import NO_RETRY, RetryPolicy
 from repro.errors import (
     CacheError,
     ConfigError,
@@ -98,7 +98,7 @@ def test_raise_sites_speak_taxonomy():
         api.design("supernpu").with_updates(pe_array_width=0)
 
 
-# -- retry policy and checkpoint primitives -------------------------------
+# -- retry policy -----------------------------------------------------------
 
 def test_retry_policy_backoff_is_bounded():
     policy = RetryPolicy(max_retries=5, base_delay_s=0.1, max_delay_s=0.5, jitter=0.0)
@@ -139,30 +139,6 @@ def test_retry_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ConfigError):
         RetryPolicy(jitter=2.0)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    journal = tmp_path / "sweep.journal"
-    ckpt = SweepCheckpoint(journal)
-    keys = ["ab" * 32, "cd" * 32]
-    for key in keys:
-        ckpt.mark(key)
-    ckpt.mark(keys[0])  # idempotent
-    reloaded = SweepCheckpoint(journal)
-    assert len(reloaded) == 2 and all(k in reloaded for k in keys)
-    reloaded.clear()
-    assert not journal.exists() and len(SweepCheckpoint(journal)) == 0
-
-
-def test_checkpoint_drops_torn_line(tmp_path):
-    """A writer killed mid-append leaves a partial line; it must be ignored."""
-    journal = tmp_path / "sweep.journal"
-    good = "ab" * 32
-    journal.write_text(good + "\n" + "cd" * 16)  # torn: only half a key
-    ckpt = SweepCheckpoint(journal)
-    assert len(ckpt) == 1 and good in ckpt
-    ckpt.mark("ef" * 32)  # the repair must not splice onto the torn line
-    assert len(SweepCheckpoint(journal)) == 2
 
 
 # -- chaos: transient failures, retry, exhaustion -------------------------
@@ -251,38 +227,38 @@ def test_hung_task_is_timed_out_and_retried(tmp_path, tasks, clean):
     assert runner.stats.timeouts >= 1
 
 
-# -- checkpointed sweeps ---------------------------------------------------
+# -- interrupted sweeps resume from the cache -------------------------------
 
 def test_interrupted_sweep_resumes_remaining_tasks(tmp_path, tasks, clean):
     cache = ResultCache(tmp_path / "cache")
-    journal = tmp_path / "sweep.journal"
     # A fatal fault on the last task interrupts the sweep after 3 completions.
     chaos = ChaosInjector(tmp_path / "chaos",
                           {tasks[3].key(): FaultSpec("exception", times=10)})
-    broken = JobRunner(jobs=1, cache=cache, checkpoint=SweepCheckpoint(journal),
-                       chaos=chaos, retry=NO_RETRY)
+    broken = JobRunner(jobs=1, cache=cache, chaos=chaos, retry=NO_RETRY)
     with pytest.raises(WorkerError):
         broken.run(tasks)
-    assert len(SweepCheckpoint(journal)) == 3
 
-    resumed = JobRunner(jobs=1, cache=cache, checkpoint=SweepCheckpoint(journal))
+    resumed = JobRunner(jobs=1, cache=cache)
     assert resumed.run(tasks) == clean
     assert resumed.stats.executed == 1  # only the task that never finished
-    assert resumed.stats.resumed == 3
+    assert resumed.stats.hits == 3
 
 
 def test_session_clears_checkpoint_only_on_clean_exit(tmp_path, tasks):
-    journal = tmp_path / "ckpt.journal"
+    """A session killed mid-sweep leaves its finished tasks in the cache.
+
+    The cache is the only resume state: nothing needs clearing on a
+    clean exit, and the next session serves the finished tasks from it.
+    """
     with pytest.raises(RuntimeError):
-        with session(cache_dir=tmp_path / "cache", checkpoint_path=journal) as runner:
+        with session(cache_dir=tmp_path / "cache") as runner:
             runner.run(tasks[:2])
             raise RuntimeError("killed mid-sweep")
-    assert journal.exists()  # kept: there is something to resume
 
-    with session(cache_dir=tmp_path / "cache", checkpoint_path=journal) as runner:
+    with session(cache_dir=tmp_path / "cache") as runner:
         runner.run(tasks[:2])
-        assert runner.stats.resumed == 2
-    assert not journal.exists()  # cleared: the sweep completed
+        assert runner.stats.hits == 2
+        assert runner.stats.executed == 0
 
 
 # -- corrupted caches ------------------------------------------------------
@@ -347,12 +323,9 @@ def test_resilience_counters_are_exported(tmp_path, tasks, clean, obs_enabled):
     chaos = ChaosInjector(tmp_path / "chaos",
                           {ANY_TASK: FaultSpec("sigkill", times=3)})
     cache = ResultCache(tmp_path / "cache")
-    journal = tmp_path / "ckpt.journal"
-    runner = JobRunner(jobs=2, cache=cache, chaos=chaos, retry=FAST_RETRY,
-                       checkpoint=SweepCheckpoint(journal))
+    runner = JobRunner(jobs=2, cache=cache, chaos=chaos, retry=FAST_RETRY)
     assert runner.run(tasks) == clean
-    resumed = JobRunner(jobs=1, cache=cache,
-                        checkpoint=SweepCheckpoint(journal))
+    resumed = JobRunner(jobs=1, cache=cache)
     assert resumed.run(tasks) == clean
     corrupt_cache_entry(cache, tasks[0].key(), "truncate")
     assert cache.get(tasks[0].key()) is None
@@ -360,5 +333,5 @@ def test_resilience_counters_are_exported(tmp_path, tasks, clean, obs_enabled):
     counters = obs_enabled.metrics().snapshot()["counters"]
     assert counters.get("jobs.retries", 0) + counters.get("jobs.pool_restarts", 0) >= 2
     assert counters.get("jobs.degraded", 0) >= 1
-    assert counters.get("jobs.resumed", 0) >= len(tasks)
+    assert counters.get("jobs.cache.hits", 0) >= len(tasks)
     assert counters.get("jobs.cache.quarantined", 0) >= 1
