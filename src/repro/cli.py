@@ -19,21 +19,26 @@ Commands mirror the paper's experiments:
   schema-versioned ``BENCH_<git-sha>.json`` and compare two recordings
   with thresholded regression verdicts (nonzero exit on regression)
 * ``runs list|show|diff`` — query the persistent run registry; every
-  invocation is recorded there (``~/.supernpu/runs/`` by default;
-  ``--runs-dir DIR`` overrides, ``--no-registry`` opts out);
-  ``list --command SUBSTR`` filters by command name / argv
+  invocation is recorded there as exactly one entry
+  (``~/.supernpu/runs/`` by default; ``--runs-dir DIR`` overrides,
+  ``--no-registry`` opts out); ``list --command SUBSTR`` filters by
+  command name / argv
 * ``hotspot [--top N] [--hotspot-mode M] [--hotspot-out FILE] <command...>``
   — the one way to profile: run any other supernpu command under the
   host-time profiler (wall-clock sampling, or deterministic tracing for
   sub-millisecond commands).  All profiler output goes to stderr, so
   the profiled command's stdout stays bitwise-identical to an
-  unprofiled run; a profiled ``simulate`` adds the cycle-domain join
+  unprofiled run; a profiled ``simulate`` adds the cycle-domain join.
+  The profiled command runs inside the same invocation, so its manifest
+  and the profile summary land in one registry entry
 
 ``simulate``, ``evaluate``, ``sweep``, ``compare``, ``reproduce``,
 ``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
 trace-event JSON, loadable in Perfetto) and ``--metrics-out FILE``
 (metrics snapshot + run manifest); either flag switches the
-``repro.obs`` instrumentation on for that run.  ``bottleneck`` adds
+``repro.obs`` instrumentation on for that run.  Under ``--json`` the
+"metrics/trace written to" notices go to stderr, so stdout stays one
+JSON document.  ``bottleneck`` adds
 ``--timeline-out FILE``: a Chrome trace whose timestamps are *simulated*
 time (cycles through the design's clock).
 
@@ -52,7 +57,12 @@ runs.  ``estimate``, ``simulate``, ``evaluate`` and ``compare`` accept
 (``{"command", "design", "workload", "data", "manifest"}``).
 
 All command logic routes through :mod:`repro.api`, the canonical typed
-facade; the CLI only parses flags and formats tables.
+facade; the CLI only parses flags and formats tables.  :func:`main`
+owns one run record per invocation: each command notes its provenance
+(design, workload, batch, technology, plan hash) into it, and every
+output of the run — the ``--json`` envelope, the metrics, trace and
+timeline files, ``profile``'s manifest and the registry entry — reads
+its one manifest.
 """
 
 from __future__ import annotations
@@ -68,71 +78,128 @@ def _fmt_row(cells: Iterable[object], widths: Sequence[int]) -> str:
     return "  ".join(f"{str(c):>{w}s}" for c, w in zip(cells, widths))
 
 
-class _ObsSession:
-    """Per-command observability lifecycle driven by the CLI flags.
+class _RunRecord:
+    """The one record of a CLI invocation.
 
-    Enables ``repro.obs`` when ``--trace-out`` / ``--metrics-out`` was
-    passed (or unconditionally for ``profile``), and on :meth:`finish`
-    stamps a run manifest, writes the requested files, and disables +
-    resets the global registry/tracer so in-process callers (tests) see
-    no leakage between commands.
+    :func:`main` opens it, the command notes its provenance into it
+    (design, workload, batch, technology, extras such as ``plan_hash``),
+    and :func:`main` closes it.  The ``--json`` envelope, ``bottleneck
+    --timeline-out``, ``profile``'s printed manifest, the
+    ``--metrics-out`` / ``--trace-out`` files and the run-registry entry
+    all read its one manifest.  ``hotspot`` dispatches the command it
+    profiles into the same record, so one invocation is one entry.
     """
 
-    def __init__(self, args: argparse.Namespace, command: str, force: bool = False):
-        self.command = command
-        self.trace_out: Optional[str] = getattr(args, "trace_out", None)
-        self.metrics_out: Optional[str] = getattr(args, "metrics_out", None)
-        self.active = force or bool(self.trace_out or self.metrics_out)
-        self._start = time.perf_counter()
-        if self.active:
+    def __init__(self, argv: List[str]) -> None:
+        from repro.core.plan import recent_plans
+
+        self.argv = argv
+        self.started = time.perf_counter()
+        self.plan_mark = len(recent_plans())
+        self.command: Optional[str] = None
+        self.trace_out: Optional[str] = None
+        self.metrics_out: Optional[str] = None
+        self.json = False
+        self.runs_dir: Optional[str] = None
+        self.no_registry = False
+        self.observing = False
+        self.hotspot: Optional[dict] = None
+        self._provenance: dict = {}
+        self._manifest = None
+
+    def begin(self, args: argparse.Namespace) -> None:
+        """Enter one command: take its flags, switch ``repro.obs`` on if asked."""
+        self.command = args.command
+        self.trace_out = getattr(args, "trace_out", None)
+        self.metrics_out = getattr(args, "metrics_out", None)
+        self.json = getattr(args, "json", False)
+        self.runs_dir = self.runs_dir or args.runs_dir
+        self.no_registry = self.no_registry or args.no_registry
+        wants_obs = bool(self.trace_out or self.metrics_out) or args.command == "profile"
+        if wants_obs and not self.observing:
             from repro import obs
 
             obs.reset()
             obs.enable()
+            self.observing = True
 
-    def finish(self, config=None, network=None, batch=None, technology=None,
-               keep_enabled: bool = False, **extra):
-        """Write the requested outputs; returns the manifest (or None)."""
+    def note(self, config=None, network=None, batch=None, technology=None,
+             **extra) -> None:
+        """Add to this run's provenance (``None`` fields are left unset)."""
+        fields = {"config": config, "workload": network, "batch": batch,
+                  "technology": technology}
+        self._provenance.update(
+            (name, value) for name, value in fields.items() if value is not None)
+        self._provenance.update(extra)
+        self._manifest = None
+
+    def plans(self) -> dict:
+        """``{"plans": [...]}`` for the plans executed in this run, or ``{}``."""
+        from repro.core.plan import recent_plans
+
+        executed = recent_plans()[self.plan_mark:]
+        if not executed:
+            return {}
+        return {"plans": [{"name": name, "hash": digest}
+                          for name, digest in executed]}
+
+    def manifest(self):
+        """The run's manifest, stamped with the wall time so far."""
         from repro import obs
-        from repro.obs import registry as run_registry
 
-        manifest = obs.RunManifest.capture(
-            self.command,
-            config=config,
-            workload=network,
-            batch=batch,
-            technology=technology,
-            wall_time_s=time.perf_counter() - self._start,
-            **extra,
-        )
-        if not self.active:
-            # Manifest capture is pure (no instrumentation needed), so the
-            # run registry gets design/workload provenance even when the
-            # obs runtime stayed off; counters exist only when it was on.
-            run_registry.stage(manifest=manifest.to_dict())
-            return None
+        if self._manifest is None:
+            self._manifest = obs.RunManifest.capture(self.command, **self._provenance)
+        self._manifest.wall_time_s = time.perf_counter() - self.started
+        return self._manifest
+
+    def write_outputs(self) -> None:
+        """Write the ``--metrics-out`` / ``--trace-out`` files, if asked for."""
+        from repro import obs
+
+        # Under --json the notices go to stderr so stdout stays one document.
+        stream = sys.stderr if self.json else sys.stdout
         if self.metrics_out:
-            obs.write_metrics(self.metrics_out, manifest=manifest)
-            print(f"metrics written to {self.metrics_out}")
+            obs.write_metrics(self.metrics_out, manifest=self.manifest())
+            print(f"metrics written to {self.metrics_out}", file=stream)
         if self.trace_out:
-            obs.write_trace(self.trace_out, manifest=manifest)
-            print(f"trace written to {self.trace_out}")
-        # Stage manifest + metrics for the run registry before the global
-        # state is reset; main() finalizes the entry with exit code and
-        # wall time once the command returns.
-        run_registry.stage(manifest=manifest.to_dict(),
-                           metrics=obs.metrics().snapshot())
-        if not keep_enabled:
-            obs.disable()
-            obs.reset()
-        return manifest
+            obs.write_trace(self.trace_out, manifest=self.manifest())
+            print(f"trace written to {self.trace_out}", file=stream)
+
+    def close(self, command: str, exit_code: Optional[int]) -> None:
+        """Append the run-registry entry, then switch ``repro.obs`` back off.
+
+        The registry's own query command is not recorded: listing history
+        should not grow it.
+        """
+        from repro import obs
+        from repro.obs.registry import record_invocation
+
+        try:
+            if command != "runs" and not self.no_registry:
+                record_invocation(
+                    command=command,
+                    argv=self.argv,
+                    exit_code=exit_code,
+                    wall_time_s=time.perf_counter() - self.started,
+                    runs_dir=self.runs_dir,
+                    plans=self.plans().get("plans"),
+                    manifest=self.manifest().to_dict(),
+                    metrics=obs.metrics().snapshot() if self.observing else None,
+                    hotspot=self.hotspot,
+                )
+        finally:
+            if self.observing:
+                obs.disable()
+                obs.reset()
 
 
-def _resolve_design(args: argparse.Namespace):
+def _resolve_design(args: argparse.Namespace, record: _RunRecord):
     """One resolver for every design-taking command.
 
     The positional design goes through :func:`repro.api.design`, which
     accepts both named design points and paths to JSON config files.
+    The resolved design (and ``--technology``, where the command has it)
+    is noted in the run record.
     """
     from repro import api
 
@@ -146,7 +213,17 @@ def _resolve_design(args: argparse.Namespace):
         overrides["link_technology"] = args.link_technology
     if overrides:
         config = config.with_updates(**overrides)
+    record.note(config=config, technology=getattr(args, "technology", None))
     return config
+
+
+def _resolve_workload(args: argparse.Namespace, record: _RunRecord):
+    """The positional workload, resolved and noted in the run record."""
+    from repro import api
+
+    network = api.workload(args.workload)
+    record.note(network=network)
+    return network
 
 
 @contextmanager
@@ -191,38 +268,36 @@ def _jobs_session(args: argparse.Namespace):
                   file=sys.stderr)
 
 
-def _print_envelope(command: str, data, *, config=None, network=None,
-                    batch=None, technology=None, **extra) -> None:
-    """The one JSON result envelope shared by every --json command."""
+def _print_envelope(record: _RunRecord, data, **extra) -> None:
+    """The one JSON result envelope shared by every --json command.
+
+    ``extra`` is noted in the run record first, so the envelope carries
+    the same manifest as every other output of the run.
+    """
     import json
 
-    from repro import obs
-
-    manifest = obs.RunManifest.capture(
-        command, config=config, workload=network, batch=batch,
-        technology=technology, **extra,
-    )
+    record.note(**extra)
+    manifest = record.manifest()
     document = {
-        "command": command,
-        "design": getattr(config, "name", None),
-        "workload": getattr(network, "name", None),
+        "command": manifest.command,
+        "design": manifest.design,
+        "workload": manifest.workload,
         "data": data,
         "manifest": manifest.to_dict(),
     }
     print(json.dumps(document, indent=2, sort_keys=True))
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
 
-    config = _resolve_design(args)
+    config = _resolve_design(args, record)
     library = api.library(args.technology)
     est = api.estimate(config, technology=library)
     if args.json:
         from repro.core.report import estimate_record
 
-        _print_envelope("estimate", estimate_record(est), config=config,
-                        technology=args.technology)
+        _print_envelope(record, estimate_record(est))
         return 0
     print(f"design          : {config.name} ({library.technology.value})")
     print(f"frequency       : {est.frequency_ghz:.2f} GHz  (critical: {est.critical_path})")
@@ -239,18 +314,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
     from repro.obs.hotspot import active_profiler
     from repro.simulator.power import power_report
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
-    session = _ObsSession(args, "simulate")
+    config = _resolve_design(args, record)
+    network = _resolve_workload(args, record)
     with _jobs_session(args):
         library = api.library(args.technology)
         estimate = api.estimate(config, technology=library)
         run = api.simulate(config, network, batch=args.batch, technology=library)
+        record.note(batch=run.batch)
         power = power_report(run, estimate)
         breakdown = run.cycle_breakdown()
         profiler = active_profiler()
@@ -266,11 +341,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.json:
             from repro.core.report import simulation_record
 
-            _print_envelope("simulate", simulation_record(run, power),
-                            config=config, network=network, batch=run.batch,
-                            technology=args.technology)
-            session.finish(config=config, network=network, batch=run.batch,
-                           technology=args.technology)
+            _print_envelope(record, simulation_record(run, power))
             return 0
         print(f"{config.name} running {network.name} (batch {run.batch})")
         print(f"  cycles      : {run.total_cycles:,}")
@@ -285,34 +356,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         print(f"  chip power  : {power.total_w:.2f} W "
               f"(static {power.static_w:.2f} + dynamic {power.dynamic_w:.2f})")
-        session.finish(config=config, network=network, batch=run.batch,
-                       technology=args.technology)
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
 
-    session = _ObsSession(args, "evaluate")
+    record.note(suite="fig23")
     with _jobs_session(args):
         suite = api.evaluate()
         speedups = suite.speedups()
         workloads = list(suite.tpu_runs) + ["Average"]
         if args.json:
-            _print_envelope("evaluate", {"speedups": speedups,
-                                         "workloads": workloads},
-                            suite="fig23")
-            session.finish(suite="fig23")
+            _print_envelope(record, {"speedups": speedups,
+                                     "workloads": workloads})
             return 0
         widths = [14] + [10] * len(workloads)
         print(_fmt_row(["design (vs TPU)"] + workloads, widths))
         for design, row in speedups.items():
             print(_fmt_row([design] + [f"{row[w]:.2f}x" for w in workloads], widths))
-        session.finish(suite="fig23")
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.estimator.validation import all_within_envelope, validate
 
     rows = validate()
@@ -339,14 +405,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.core.optimizer import buffer_sweep, register_sweep, resource_sweep
 
-    session = _ObsSession(args, "sweep")
+    record.note(which=args.which)
     with _jobs_session(args):
         if args.plot:
             from repro.core.plotting import sweep_chart
 
+            record.note(plot=True)
             if args.which == "buffers":
                 print(sweep_chart(buffer_sweep(), "max_batch"))
             elif args.which == "resources":
@@ -355,7 +422,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for width, rows in register_sweep().items():
                     print(f"width {width}:")
                     print(sweep_chart(rows, "speedup"))
-            session.finish(which=args.which, plot=True)
             return 0
 
         if args.which == "buffers":
@@ -377,25 +443,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for width, rows in register_sweep().items():
                 for point in rows:
                     print(f"{point.label:22s} speedup={point.metrics['speedup']:7.2f}x")
-        session.finish(which=args.which)
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: argparse.Namespace, record: _RunRecord) -> int:
     """One ``simulate`` run under full observability: span tree + metrics."""
     from repro import obs
     from repro.core.batching import batch_for
     from repro.device.cells import Technology, library_for
     from repro.estimator.arch_level import estimate_npu
     from repro.simulator.engine import simulate
-    from repro.workloads.models import by_name
 
-    config = _resolve_design(args)
-    network = by_name(args.workload)
-    session = _ObsSession(args, "profile", force=True)
+    config = _resolve_design(args, record)
+    network = _resolve_workload(args, record)
     library = library_for(Technology(args.technology))
     estimate = estimate_npu(config, library)
     batch = args.batch or batch_for(config, network)
+    record.note(batch=batch)
     run = simulate(config, network, batch=batch, estimate=estimate)
 
     print(f"profile: {config.name} running {network.name} "
@@ -413,15 +477,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"mean={summary['mean']:.6f} total={summary['sum']:.6f} "
               f"p50={summary['p50']:.6f} p95={summary['p95']:.6f} "
               f"p99={summary['p99']:.6f}")
-    manifest = session.finish(config=config, network=network, batch=batch,
-                              technology=args.technology)
     print()
     print("manifest:")
-    print(manifest.describe())
+    print(record.manifest().describe())
     return 0
 
 
-def cmd_bottleneck(args: argparse.Namespace) -> int:
+def cmd_bottleneck(args: argparse.Namespace, record: _RunRecord) -> int:
     """Per-layer bound attribution, critical layers, roofline, timeline."""
     import json
 
@@ -434,9 +496,8 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     )
     from repro.simulator.utilization import utilization_report
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
-    session = _ObsSession(args, "bottleneck")
+    config = _resolve_design(args, record)
+    network = _resolve_workload(args, record)
     library = api.library(args.technology)
     estimate = api.estimate(config, technology=library)
     timeline = obs.CycleTimeline(
@@ -445,19 +506,13 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     run = api.simulate(config, network, batch=args.batch, technology=library,
                        timeline=timeline)
     batch = run.batch
+    record.note(batch=batch)
     report = attribute(run)
     roof = roofline(run, estimate.peak_mac_per_s, config.memory_bandwidth_gbps)
     util = utilization_report(run)
 
     if args.timeline_out:
-        manifest = obs.RunManifest.capture(
-            "bottleneck",
-            config=config,
-            workload=network,
-            batch=batch,
-            technology=args.technology,
-        )
-        obs.write_timeline(args.timeline_out, timeline, manifest=manifest)
+        obs.write_timeline(args.timeline_out, timeline, manifest=record.manifest())
 
     if args.json:
         document = {
@@ -491,8 +546,6 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
             "utilization": util.to_dict(),
         }
         print(json.dumps(document, indent=2, sort_keys=True))
-        session.finish(config=config, network=network, batch=batch,
-                       technology=args.technology)
         return 0
 
     print(f"bottleneck: {config.name} running {network.name} "
@@ -554,12 +607,10 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     if args.timeline_out:
         print()
         print(f"timeline written to {args.timeline_out}")
-    session.finish(config=config, network=network, batch=batch,
-                   technology=args.technology)
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace, record: _RunRecord) -> int:
     if args.table == "1":
         from repro.core.designs import all_designs
         from repro.device.cells import rsfq_library
@@ -614,7 +665,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
     from repro.core.report import (
         layer_records,
@@ -624,11 +675,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.simulator.power import power_report
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
+    config = _resolve_design(args, record)
+    network = _resolve_workload(args, record)
     library = api.library(args.technology)
     estimate = api.estimate(config, technology=library)
     run = api.simulate(config, network, batch=args.batch, technology=library)
+    record.note(batch=run.batch)
     if args.layers:
         records = layer_records(run)
         print(to_csv(records) if args.format == "csv" else to_json(records))
@@ -638,11 +690,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_floorplan(args: argparse.Namespace) -> int:
+def cmd_floorplan(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.device.cells import rsfq_library
     from repro.estimator.floorplan import floorplan, implied_frequency_ghz
 
-    config = _resolve_design(args)
+    config = _resolve_design(args, record)
     library = rsfq_library()
     plan = floorplan(config, library)
     print(f"{config.name}: die {plan.die_width_mm:.1f} x {plan.die_height_mm:.1f} mm "
@@ -660,11 +712,10 @@ def cmd_floorplan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
+def cmd_energy(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.core.energy import inference_energy_table, relative_energy
-    from repro.workloads.models import by_name
 
-    network = by_name(args.workload)
+    network = _resolve_workload(args, record)
     rows = inference_energy_table(network)
     rel = relative_energy(rows)
     widths = [32, 14, 16, 18, 10]
@@ -684,26 +735,23 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
     from repro.core.compare import comparison_records, phase_deltas, winner
 
     configs = [api.design(spec) for spec in args.designs]
     workloads = args.workloads.split(",") if args.workloads else None
-    session = _ObsSession(args, "compare")
     with _jobs_session(args):
         columns = api.compare(configs, workloads=workloads)
+        record.note(designs=",".join(c.config.name for c in columns))
         if args.json:
             data = {"columns": comparison_records(columns),
                     "winner": winner(columns).config.name}
             if len(columns) > 1:
                 data["phase_deltas"] = phase_deltas(columns)
-            _print_envelope("compare", data,
-                            designs=",".join(c.config.name for c in columns))
-            session.finish(designs=",".join(c.config.name for c in columns))
+            _print_envelope(record, data)
             return 0
         _print_compare_tables(columns, winner, phase_deltas)
-        session.finish(designs=",".join(c.config.name for c in columns))
     return 0
 
 
@@ -743,12 +791,10 @@ def _print_compare_tables(columns, winner, phase_deltas) -> None:
             ))
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.core.experiments import EXPERIMENTS, EXTENSIONS, reproduce_all
 
     only = args.only.split(",") if args.only else None
-    session = _ObsSession(args, "reproduce")
-    mark = _plan_mark()
     with _jobs_session(args):
         results = reproduce_all(
             out_dir=args.out, only=only, include_extensions=args.extensions
@@ -758,11 +804,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             print(f"  {name:28s} {marker}")
         available = len(EXPERIMENTS) + (len(EXTENSIONS) if args.extensions else 0)
         print(f"{len(results)} of {available} experiments regenerated")
-        session.finish(experiments=",".join(results), **_plans_since(mark))
+        record.note(experiments=",".join(results), **record.plans())
     return 0
 
 
-def cmd_workloads(args: argparse.Namespace) -> int:
+def cmd_workloads(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.workloads.analysis import duplication_report
     from repro.workloads.models import all_workloads
 
@@ -785,12 +831,11 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro import api
+def cmd_trace(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.simulator.trace import trace_layer, trace_summary, trace_to_csv
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
+    config = _resolve_design(args, record)
+    network = _resolve_workload(args, record)
     matches = [l for l in network.layers if l.name == args.layer]
     if not matches:
         from repro.errors import UnknownWorkloadError
@@ -812,28 +857,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plans_since(mark: int) -> dict:
-    """Manifest extras for every plan executed since ``mark``.
-
-    ``mark`` is ``len(recent_plans())`` taken before the command ran; the
-    delta is this command's plan executions, (name, hash) stamped.
-    """
-    from repro.core.plan import recent_plans
-
-    executed = recent_plans()[mark:]
-    if not executed:
-        return {}
-    return {"plans": [{"name": name, "hash": digest}
-                      for name, digest in executed]}
-
-
-def _plan_mark() -> int:
-    from repro.core.plan import recent_plans
-
-    return len(recent_plans())
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
     from repro.errors import ConfigError
 
@@ -848,7 +872,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 }
                 for name in names
             ]
-            _print_envelope("plan", {"plans": plans}, action="list")
+            _print_envelope(record, {"plans": plans}, action="list")
             return 0
         widths = [24, 8]
         print(_fmt_row(["plan", "points"], widths) + "  description")
@@ -878,7 +902,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             cache = ResultCache(cache_dir)
             cached = sum(1 for key in unique if cache.path_for(key).exists())
         if args.json:
-            _print_envelope("plan", {
+            _print_envelope(record, {
                 "name": plan.name,
                 "hash": lowered.plan_hash,
                 "description": plan.description,
@@ -905,31 +929,29 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 0
 
     # run
-    session = _ObsSession(args, "plan")
-    mark = _plan_mark()
     with _jobs_session(args):
         resultset = api.run_plan(plan)
+        record.note(action="run", plan=plan.name, plan_hash=resultset.plan_hash,
+                    points_total=resultset.points_total,
+                    points_cached=resultset.points_cached,
+                    points_executed=resultset.points_executed,
+                    **record.plans())
         if args.json:
-            _print_envelope("plan", {
+            _print_envelope(record, {
                 "name": plan.name,
                 "hash": resultset.plan_hash,
                 "points_total": resultset.points_total,
                 "points_cached": resultset.points_cached,
                 "points_executed": resultset.points_executed,
                 "records": resultset.records(),
-            }, action="run", plan=plan.name)
+            })
         else:
             print(resultset.describe())
             print(f"plan hash: {resultset.plan_hash}")
-        session.finish(plan=plan.name, plan_hash=resultset.plan_hash,
-                       points_total=resultset.points_total,
-                       points_cached=resultset.points_cached,
-                       points_executed=resultset.points_executed,
-                       **_plans_since(mark))
     return 0
 
 
-def cmd_components(args: argparse.Namespace) -> int:
+def cmd_components(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro import api
     from repro.errors import ConfigError
 
@@ -937,7 +959,7 @@ def cmd_components(args: argparse.Namespace) -> int:
         registered = api.components(kind=args.kind)
         if args.json:
             _print_envelope(
-                "components",
+                record,
                 {"components": [component.to_dict() for component in registered]},
                 action="list")
             return 0
@@ -962,7 +984,7 @@ def cmd_components(args: argparse.Namespace) -> int:
         )
     component = api.component(args.name)
     if args.json:
-        _print_envelope("components", component.to_dict(), action="show",
+        _print_envelope(record, component.to_dict(), action="show",
                         component=component.name)
         return 0
     print(f"component   : {component.name} ({component.kind})")
@@ -986,7 +1008,7 @@ def cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
+def cmd_cache(args: argparse.Namespace, record: _RunRecord) -> int:
     from repro.core.jobs import ResultCache
 
     cache = ResultCache(args.cache_dir)
@@ -1021,7 +1043,7 @@ def _print_bench_comparison(comparison) -> None:
           f"(threshold {comparison.threshold:g}x on min wall time)")
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace, record: _RunRecord) -> int:
     """Record the benchmark suite / gate a recording against a baseline."""
     import json
 
@@ -1034,7 +1056,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             label=args.label)
         path = bench.write_document(document, path=args.out)
         if args.json:
-            _print_envelope("bench", document, action="run", subset=args.subset)
+            _print_envelope(record, document, action="run", subset=args.subset)
         else:
             print(f"bench [{document['git_sha']}]: "
                   f"{len(document['benchmarks'])} benchmarks "
@@ -1073,7 +1095,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if comparison.ok else 1
 
 
-def cmd_runs(args: argparse.Namespace) -> int:
+def cmd_runs(args: argparse.Namespace, record: _RunRecord) -> int:
     """Query the persistent run registry (list / show / diff)."""
     import json
 
@@ -1086,7 +1108,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
         entries, corrupt = registry.entries(limit=args.limit,
                                             command=args.command_filter)
         if args.json:
-            _print_envelope("runs", {
+            _print_envelope(record, {
                 "runs": [entry.to_dict() for entry in entries],
                 "corrupt_skipped": corrupt,
             }, action="list")
@@ -1114,7 +1136,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
                               hint="see 'supernpu runs list'")
         entry = registry.get(args.ids[0])
         if args.json:
-            _print_envelope("runs", entry.to_dict(), action="show")
+            _print_envelope(record, entry.to_dict(), action="show")
         else:
             print(entry.describe())
         return 0
@@ -1126,7 +1148,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
                           hint="see 'supernpu runs list'")
     difference = registry.diff(args.ids[0], args.ids[1])
     if args.json:
-        _print_envelope("runs", difference, action="diff")
+        _print_envelope(record, difference, action="diff")
         return 0
     print(f"runs diff: {difference['a']} -> {difference['b']}")
     if difference["wall_time_delta_s"] is not None:
@@ -1144,12 +1166,14 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hotspot(args: argparse.Namespace) -> int:
+def cmd_hotspot(args: argparse.Namespace, record: _RunRecord) -> int:
     """Profile any other supernpu command's host time.
 
-    Runs the wrapped command in-process under a :class:`HotspotProfiler`
-    and prints the top-N table to stderr — the wrapped command's stdout
-    is bitwise-identical to an unprofiled run.  A wrapped ``simulate``
+    Runs the wrapped command in-process, inside this invocation's run
+    record, under a :class:`HotspotProfiler` and prints the top-N table
+    to stderr — the wrapped command's stdout is bitwise-identical to an
+    unprofiled run.  The one registry entry carries the wrapped
+    command's manifest and the profile summary.  A wrapped ``simulate``
     hands its simulated-cycle phase fractions to the profile, so the
     report adds the cycle-domain join; a wrapped ``bench run`` folds the
     benchmark subprocess's samples in.  ``tracing`` mode is the
@@ -1158,7 +1182,6 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
     collect samples.
     """
     from repro.errors import ConfigError
-    from repro.obs import registry as run_registry
     from repro.obs.hotspot import HotspotProfiler
 
     inner = list(args.argv)
@@ -1171,20 +1194,20 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
             hint="e.g. supernpu hotspot --hotspot-mode tracing "
                  "simulate supernpu mobilenet",
         )
+    inner_args = build_parser().parse_args(inner)
     profiler = HotspotProfiler(mode=args.hotspot_mode)
     profiler.start()
     try:
-        exit_code = main(inner)
+        return _dispatch(inner_args, record)
     finally:
         profile = profiler.stop()
-    print(profile.report(top_n=args.top), file=sys.stderr)
-    if args.hotspot_out:
-        with open(args.hotspot_out, "w", encoding="utf-8") as handle:
-            handle.write(profile.collapsed())
-        print(f"collapsed stacks written to {args.hotspot_out}",
-              file=sys.stderr)
-    run_registry.stage(hotspot=profile.summary())
-    return exit_code
+        print(profile.report(top_n=args.top), file=sys.stderr)
+        if args.hotspot_out:
+            with open(args.hotspot_out, "w", encoding="utf-8") as handle:
+                handle.write(profile.collapsed())
+            print(f"collapsed stacks written to {args.hotspot_out}",
+                  file=sys.stderr)
+        record.hotspot = profile.summary()
 
 
 def _positive_int(text: str) -> int:
@@ -1491,18 +1514,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace, record: _RunRecord) -> int:
+    """Run one parsed command inside ``record``."""
+    record.begin(args)
+    return args.func(args, record)
+
+
 def main(argv: List[str] | None = None) -> int:
     from repro.errors import ReproError
-    from repro.obs import registry as run_registry
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    argv_list = list(sys.argv[1:] if argv is None else argv)
-    started = time.perf_counter()
-    mark = _plan_mark()
+    record = _RunRecord(list(sys.argv[1:] if argv is None else argv))
     exit_code: Optional[int] = None
     try:
-        exit_code = args.func(args)
+        exit_code = _dispatch(args, record)
+        record.write_outputs()
         return exit_code
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (e.g. head).
@@ -1518,20 +1545,8 @@ def main(argv: List[str] | None = None) -> int:
         return exit_code
     finally:
         # Every invocation lands in the run registry (best-effort; a full
-        # disk never turns a successful command into a failure).  The
-        # registry's own query command is not recorded — listing history
-        # should not grow it.
-        if args.command != "runs" and not args.no_registry:
-            run_registry.record_invocation(
-                command=args.command,
-                argv=argv_list,
-                exit_code=exit_code,
-                wall_time_s=time.perf_counter() - started,
-                runs_dir=args.runs_dir,
-                plans=_plans_since(mark).get("plans"),
-            )
-        else:
-            run_registry.take_staged()
+        # disk never turns a successful command into a failure).
+        record.close(args.command, exit_code)
 
 
 if __name__ == "__main__":

@@ -56,8 +56,6 @@ import functools
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
 import weakref
@@ -66,8 +64,8 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessP
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple, Union)
 
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
@@ -607,92 +605,21 @@ class WorkerObsSpec:
 
     Built by the parent from its own live obs state (is tracing on? is a
     hotspot profiler running?) and pickled along with every submitted
-    task.  Workers run a private obs session per task and leave a JSON
-    sidecar in ``sidecar_dir`` keyed by the task's content hash; the
-    parent merges all sidecars after the parallel phase and deletes the
-    directory.  Everything is best-effort: a worker that cannot write
-    its sidecar still returns its result normally.
+    task.  A worker runs a private obs session per task and returns what
+    it collected with the task's result; the parent merges each report
+    as the task completes.
     """
 
-    sidecar_dir: str
     metrics: bool = False
     tracing: bool = False
     hotspot_mode: Optional[str] = None
     hotspot_hz: float = 97.0
 
-    @property
-    def collects_anything(self) -> bool:
-        return self.metrics or self.tracing or self.hotspot_mode is not None
-
-
-def _write_obs_sidecar(spec: WorkerObsSpec, key: str,
-                       counters: Dict[str, Any],
-                       spans: List[Dict[str, Any]],
-                       profile: Optional[Any]) -> None:
-    """Atomically write one worker's per-task obs sidecar (best-effort)."""
-    try:
-        document = {
-            "kind": "worker-obs",
-            "schema": 1,
-            "key": key,
-            "pid": os.getpid(),
-            "counters": counters,
-            "spans": spans,
-            "hotspot": None if profile is None else profile.to_dict(),
-        }
-        path = Path(spec.sidecar_dir) / f"{key}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(document), encoding="utf-8")
-        os.replace(tmp, path)
-    except Exception:
-        pass  # observability must never fail the task
-
-
-def _execute_observed(task: SimTask, key: str, chaos: Optional[ChaosInjector],
-                      spec: WorkerObsSpec) -> Tuple[SimulationResult, float]:
-    """Run one task under a private worker obs session + sidecar.
-
-    The session is reset before and after, so the sidecar holds exactly
-    this task's spans and counters even when the worker process is
-    reused for many tasks.  The sidecar is written only on success —
-    a retried task contributes once, under its stable content key.
-    """
-    from repro.obs.hotspot import HotspotProfiler
-    from repro.obs.tracing import serialize_spans
-
-    obs.disable()
-    obs.reset()
-    obs.enable(metrics=spec.metrics, tracing=spec.tracing)
-    profiler = None
-    if spec.hotspot_mode is not None:
-        try:
-            profiler = HotspotProfiler(mode=spec.hotspot_mode,
-                                       sample_hz=spec.hotspot_hz).start()
-        except Exception:
-            profiler = None
-    try:
-        if chaos is not None:
-            chaos.fire(key)
-        run, seconds = _execute(task)
-        profile = profiler.stop() if profiler is not None else None
-        snapshot = obs.metrics().snapshot() if spec.metrics else {}
-        spans = serialize_spans(obs.tracer()) if spec.tracing else []
-    finally:
-        if profiler is not None:
-            profiler.stop()
-        obs.disable()
-        obs.reset()
-    _write_obs_sidecar(spec, key, snapshot.get("counters", {}), spans, profile)
-    return run, seconds
-
 
 def _execute_task(task: SimTask, key: str,
                   chaos: Optional[ChaosInjector] = None,
-                  obs_spec: Optional[WorkerObsSpec] = None,
                   ) -> Tuple[SimulationResult, float]:
     """One task under ``key``: optional chaos, then the simulation."""
-    if obs_spec is not None and obs_spec.collects_anything:
-        return _execute_observed(task, key, chaos, obs_spec)
     if chaos is not None:
         chaos.fire(key)
     return _execute(task)
@@ -701,10 +628,47 @@ def _execute_task(task: SimTask, key: str,
 def _execute_in_worker(task: SimTask, key: str,
                        chaos: Optional[ChaosInjector],
                        obs_spec: Optional[WorkerObsSpec],
-                       ) -> Tuple[Dict[str, Any], float]:
-    """The unit submitted to pool workers: the result crosses back encoded."""
-    run, seconds = _execute_task(task, key, chaos, obs_spec)
-    return result_to_dict(run), seconds
+                       ) -> Tuple[Dict[str, Any], float, Optional[Dict[str, Any]]]:
+    """The unit submitted to pool workers: ``(payload, seconds, obs report)``.
+
+    The result crosses back encoded.  With ``obs_spec`` the task runs
+    under a private obs session, reset before and after so the report
+    holds exactly this task's counters, spans and profile even when the
+    worker process is reused; otherwise the report is ``None``.  A task
+    that raises reports nothing, so a retried task contributes once.
+    """
+    if obs_spec is None:
+        run, seconds = _execute_task(task, key, chaos)
+        return result_to_dict(run), seconds, None
+    from repro.obs.hotspot import HotspotProfiler
+    from repro.obs.tracing import serialize_spans
+
+    obs.disable()
+    obs.reset()
+    obs.enable(metrics=obs_spec.metrics, tracing=obs_spec.tracing)
+    profiler = None
+    if obs_spec.hotspot_mode is not None:
+        try:
+            profiler = HotspotProfiler(mode=obs_spec.hotspot_mode,
+                                       sample_hz=obs_spec.hotspot_hz).start()
+        except Exception:
+            profiler = None
+    try:
+        run, seconds = _execute_task(task, key, chaos)
+        profile = profiler.stop() if profiler is not None else None
+        report = {
+            "pid": os.getpid(),
+            "counters": (obs.metrics().snapshot()["counters"]
+                         if obs_spec.metrics else {}),
+            "spans": serialize_spans(obs.tracer()) if obs_spec.tracing else [],
+            "hotspot": None if profile is None else profile.to_dict(),
+        }
+    finally:
+        if profiler is not None:
+            profiler.stop()
+        obs.disable()
+        obs.reset()
+    return result_to_dict(run), seconds, report
 
 
 # -- the runner ------------------------------------------------------------
@@ -853,7 +817,8 @@ class JobRunner:
                 if self.jobs > 1 and len(pending) > 1:
                     task_seconds = self._run_parallel(tasks, keys, results, pending)
                 else:
-                    task_seconds = self._run_serial(tasks, keys, results, pending)
+                    task_seconds = self._run_serial(
+                        tasks, keys, results, [(index, 0) for index in pending])
         finally:
             # Close the live line even when the sweep raises, so the
             # error message starts on a fresh line.
@@ -901,11 +866,13 @@ class JobRunner:
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
                     results: List[Optional[SimulationResult]],
-                    pending: Sequence[int]) -> float:
+                    pending: Iterable[Tuple[int, int]]) -> float:
+        """Run ``(index, failures so far)`` pairs in-process, in order."""
         total = 0.0
-        for index in pending:
-            self._emit("started", keys[index])
-            run, seconds = self._execute_with_retry(tasks[index], keys[index])
+        for index, failures in pending:
+            self._emit("started", keys[index], attempt=failures)
+            run, seconds = self._execute_with_retry(tasks[index], keys[index],
+                                                    failures=failures)
             total += seconds
             self._finish_task(index, keys[index], tasks[index], run, results)
             self._emit("finished", keys[index])
@@ -941,6 +908,7 @@ class JobRunner:
         queue: Deque[Tuple[int, int]] = deque((index, 0) for index in pending)
         remaining = len(pending)
         obs_spec = self._worker_obs_spec()
+        worker_pids: set = set()
         pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=workers)
         pool_deaths = 0
         inflight: Dict[Future, Tuple[int, int, Optional[float]]] = {}
@@ -948,16 +916,7 @@ class JobRunner:
             while remaining:
                 if pool is None:
                     # Degraded: finish the sweep in-process, deterministically.
-                    while queue:
-                        index, failures = queue.popleft()
-                        self._emit("started", keys[index], attempt=failures)
-                        run, seconds = self._execute_with_retry(
-                            tasks[index], keys[index], failures=failures)
-                        total_seconds += seconds
-                        self._finish_task(index, keys[index], tasks[index],
-                                          run, results)
-                        self._emit("finished", keys[index])
-                        remaining -= 1
+                    total_seconds += self._run_serial(tasks, keys, results, queue)
                     break
 
                 while queue and len(inflight) < workers:
@@ -976,7 +935,7 @@ class JobRunner:
                 for future in done:
                     index, failures, _ = inflight.pop(future)
                     try:
-                        payload, seconds = future.result()
+                        payload, seconds, report = future.result()
                     except BrokenExecutor:
                         # The pool died under this task (SIGKILLed worker,
                         # OOM-killed child, ...).  The task is stranded, not
@@ -1002,6 +961,8 @@ class JobRunner:
                         queue.append((index, failures))
                     else:
                         total_seconds += seconds
+                        if report is not None:
+                            self._absorb_worker_report(report, worker_pids)
                         self._finish_task(index, keys[index], tasks[index],
                                           result_from_dict(payload), results, payload)
                         self._emit("finished", keys[index])
@@ -1055,18 +1016,14 @@ class JobRunner:
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-            self._merge_worker_obs(obs_spec)
+            if worker_pids:
+                obs.gauge("jobs.worker.pids").set(len(worker_pids))
         return total_seconds
 
     # -- worker observability ------------------------------------------
     @staticmethod
-    def _worker_obs_spec() -> Optional["WorkerObsSpec"]:
-        """A spec mirroring the parent's live obs state, or None when off.
-
-        None (the common case) keeps the worker path allocation-free;
-        otherwise a fresh sidecar directory is created for this parallel
-        phase and torn down by :meth:`_merge_worker_obs`.
-        """
+    def _worker_obs_spec() -> Optional[WorkerObsSpec]:
+        """A spec mirroring the parent's live obs state, or None when off."""
         from repro.obs import hotspot as hotspot_mod
 
         profiler = hotspot_mod.active_profiler()
@@ -1074,55 +1031,32 @@ class JobRunner:
         want_tracing = obs.tracer().enabled
         if not (want_metrics or want_tracing or profiler is not None):
             return None
-        sidecar_dir = tempfile.mkdtemp(prefix="supernpu-worker-obs-")
         return WorkerObsSpec(
-            sidecar_dir=sidecar_dir,
             metrics=want_metrics,
             tracing=want_tracing,
             hotspot_mode=None if profiler is None else profiler.mode,
             hotspot_hz=profiler.sample_hz if profiler is not None else 97.0,
         )
 
-    def _merge_worker_obs(self, spec: Optional["WorkerObsSpec"]) -> None:
-        """Fold every worker sidecar into the parent obs state.
+    @staticmethod
+    def _absorb_worker_report(report: Dict[str, Any], pids: set) -> None:
+        """Fold one worker's obs report into the parent obs state.
 
         Counters come back prefixed ``jobs.worker.`` (so parent-side and
         worker-side accounting stay distinguishable), spans land in a
         per-PID lane of the parent's Chrome trace, and hotspot samples
-        merge into the active profiler.  Unreadable sidecars are skipped;
-        the sidecar directory is always removed.
+        merge into the active profiler.
         """
-        if spec is None:
-            return
         from repro.obs import hotspot as hotspot_mod
 
-        sidecar_dir = Path(spec.sidecar_dir)
-        try:
-            merged = 0
-            pids = set()
-            for path in sorted(sidecar_dir.glob("*.json")):
-                try:
-                    document = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    continue
-                if not isinstance(document, dict) or document.get("kind") != "worker-obs":
-                    continue
-                pid = int(document.get("pid", 0))
-                pids.add(pid)
-                merged += 1
-                for name, value in (document.get("counters") or {}).items():
-                    obs.counter(f"jobs.worker.{name}").add(value)
-                spans = document.get("spans") or []
-                if spans:
-                    obs.tracer().absorb_serialized(spans, pid=pid)
-                hotspot_doc = document.get("hotspot")
-                if hotspot_doc:
-                    hotspot_mod.absorb(hotspot_doc)
-            if merged:
-                obs.counter("jobs.worker.sidecars").add(merged)
-                obs.gauge("jobs.worker.pids").set(len(pids))
-        finally:
-            shutil.rmtree(sidecar_dir, ignore_errors=True)
+        pids.add(report["pid"])
+        for name, value in report["counters"].items():
+            obs.counter(f"jobs.worker.{name}").add(value)
+        if report["spans"]:
+            obs.tracer().absorb_serialized(report["spans"], pid=report["pid"])
+        if report["hotspot"]:
+            hotspot_mod.absorb(report["hotspot"])
+        obs.counter("jobs.worker.sidecars").inc()
 
     def _wait_timeout(self, inflight: Dict[Future, Tuple[int, int, Optional[float]]]
                       ) -> Optional[float]:

@@ -1,6 +1,6 @@
 """``repro.obs`` — observability for the simulator / estimator / jsim stack.
 
-Three pieces (see ``docs/OBSERVABILITY.md``):
+In-run instruments (see ``docs/OBSERVABILITY.md``):
 
 * **metrics** — process-local counters / gauges / histograms-as-timers
   (:mod:`repro.obs.metrics`), snapshot-able to a plain dict / JSON;
@@ -12,30 +12,30 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
 * **timeline** — simulated-cycle event timeline of the *modeled
   hardware* (layer spans, on-chip phases, DRAM transfers, buffer
   occupancy) with Chrome trace export in the simulated clock domain
-  (:mod:`repro.obs.timeline`).
+  (:mod:`repro.obs.timeline`);
+* **hotspot** — host-time profiling (:mod:`repro.obs.hotspot`): a
+  stdlib-only sampling profiler (plus a deterministic tracing mode for
+  sub-millisecond runs) with collapsed-stack export and a report that
+  joins per-function self-time with the simulated-cycle phase
+  attribution;
+* **progress** — live task-lifecycle streaming for parallel sweeps
+  (:mod:`repro.obs.progress`).
 
 Everything is **off by default**: the instrumented hot paths in
 ``simulator.engine``, ``jsim.solver``, ``estimator.arch_level`` and
 ``core.search`` reduce to a single flag check until :func:`enable` is
 called (the CLI does this for ``supernpu profile`` and whenever
-``--trace-out`` / ``--metrics-out`` is passed).
+``--trace-out`` / ``--metrics-out`` is passed).  Pool workers spawned by
+:mod:`repro.core.jobs` return their own spans / counters / samples with
+each task's result; the parent merges them into one Chrome trace with
+one lane per worker PID.
 
-PR 6 adds the cross-run trajectory on top of the in-run runtime:
+Across runs:
 
-* **progress** — live task-lifecycle streaming for parallel sweeps
-  (:mod:`repro.obs.progress`);
-* **registry** — a persistent per-invocation run registry under
-  ``~/.supernpu/runs/`` (:mod:`repro.obs.registry`);
+* **registry** — a persistent run registry under ``~/.supernpu/runs/``
+  (:mod:`repro.obs.registry`), one entry per CLI invocation;
 * **bench** — the BENCH_<sha>.json recorder and regression comparator
   over the ``benchmarks/`` suite (:mod:`repro.obs.bench`).
-
-PR 7 adds host-time hotspot profiling (:mod:`repro.obs.hotspot`): a
-stdlib-only sampling profiler (plus a deterministic tracing fallback for
-sub-millisecond runs) with collapsed-stack export and a report that
-joins per-function self-time with the simulated-cycle phase attribution.
-Worker processes spawned by :mod:`repro.core.jobs` serialize their own
-spans / counters / samples into per-task sidecars that the parent merges
-into one Chrome trace with one lane per worker PID.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

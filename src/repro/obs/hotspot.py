@@ -21,8 +21,8 @@ Two stdlib-only collection modes, one data model:
 Both feed a :class:`HotspotProfile`: per-stack sample weights that
 aggregate into per-function self/cumulative time, export as collapsed
 stacks (``flamegraph.pl`` format), render as a top-N terminal report,
-serialize to/from JSON (so pool workers can ship samples to the parent
-in a sidecar, see ``repro.core.jobs``), and join with the cycle-domain
+serialize to/from JSON (so pool workers can return samples to the
+parent with each task's result, see ``repro.core.jobs``), and join with the cycle-domain
 attribution of ``repro.simulator.attribution`` so each simulated phase
 (compute / preparation / dram) maps to the host frames that model it.
 """
@@ -588,7 +588,7 @@ def absorb(data: Dict[str, Any]) -> bool:
     """Merge a serialized worker profile into the active profiler.
 
     Returns False (and drops the data) when no profiler is running —
-    worker sidecars are best-effort.
+    worker profiles are best-effort.
     """
     profiler = _active
     if profiler is None:

@@ -1,10 +1,11 @@
 """``repro.obs.registry`` — a persistent, queryable registry of runs.
 
-PRs 1–2 made a single run observable (metrics, spans, manifests);
-nothing persisted *across* runs.  The registry closes that gap: every
-CLI invocation appends one schema-versioned JSON entry — run manifest,
-metrics snapshot (when observability was on), executed plan hashes,
-exit code, wall time — under ``~/.supernpu/runs/`` (overridable with
+Metrics, spans and manifests make a single run observable; the
+registry persists them *across* runs.  Every CLI invocation appends
+exactly one schema-versioned JSON entry, built from the CLI's one run
+record — run manifest, metrics snapshot (when observability was on),
+executed plan hashes, hotspot profile summary (under ``supernpu
+hotspot``), exit code, wall time — under ``~/.supernpu/runs/`` (overridable with
 ``--runs-dir`` or ``SUPERNPU_RUNS_DIR``; disable with ``--no-registry``
 or ``SUPERNPU_NO_REGISTRY=1``).  ``supernpu runs list|show|diff``
 queries the history, so "did this PR change the evaluate numbers /
@@ -328,34 +329,15 @@ class RunRegistry:
         }
 
 
-# -- per-invocation staging -------------------------------------------------
-#
-# The CLI's observability session (repro.cli._ObsSession) knows the run's
-# manifest and metrics snapshot just before it resets the global registry;
-# the CLI main() knows the exit code and wall time just after.  The staging
-# dict carries the former to the latter without coupling their lifetimes.
-
-_STAGED: Dict[str, Any] = {}
-
-
-def stage(**fields: Any) -> None:
-    """Contribute manifest/metrics for the in-flight invocation."""
-    _STAGED.update(fields)
-
-
-def take_staged() -> Dict[str, Any]:
-    """Drain the staged fields (empties the staging area)."""
-    drained = dict(_STAGED)
-    _STAGED.clear()
-    return drained
-
-
 def record_invocation(command: str,
                       argv: Sequence[str],
                       exit_code: Optional[int],
                       wall_time_s: float,
                       runs_dir: Optional[Union[str, Path]] = None,
                       plans: Optional[Sequence[Dict[str, str]]] = None,
+                      manifest: Optional[Dict[str, Any]] = None,
+                      metrics: Optional[Dict[str, Any]] = None,
+                      hotspot: Optional[Dict[str, Any]] = None,
                       ) -> Optional[RunEntry]:
     """Best-effort append of one CLI invocation (never raises).
 
@@ -364,20 +346,17 @@ def record_invocation(command: str,
     failure, so every error here is swallowed and ``None`` returned.
     """
     if registry_disabled():
-        take_staged()
         return None
-    staged = take_staged()
     try:
-        registry = RunRegistry(runs_dir)
-        return registry.append(
+        return RunRegistry(runs_dir).append(
             command=command,
             argv=argv,
             exit_code=exit_code,
             wall_time_s=wall_time_s,
-            manifest=staged.get("manifest"),
-            metrics=staged.get("metrics"),
+            manifest=manifest,
+            metrics=metrics,
             plans=plans,
-            hotspot=staged.get("hotspot"),
+            hotspot=hotspot,
         )
     except Exception:
         return None

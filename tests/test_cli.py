@@ -199,6 +199,24 @@ def test_simulate_metrics_out_flag(tmp_path, capsys):
     assert data["metrics"]["counters"]["sim.cycles"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "supernpu", "alexnet", "--batch", "1"],
+    ["evaluate"],
+    ["compare", "baseline", "supernpu", "--workloads", "alexnet"],
+    ["plan", "run", "fig23_evaluate"],
+    ["bottleneck", "baseline", "alexnet", "--batch", "1"],
+])
+def test_json_stdout_stays_one_document_with_metrics_out(argv, tmp_path, capsys):
+    import json
+
+    path = tmp_path / "m.json"
+    assert main(argv + ["--json", "--metrics-out", str(path)]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert f"metrics written to {path}" in captured.err
+    assert json.loads(path.read_text())["manifest"]["command"] == argv[0]
+
+
 def test_simulate_trace_out_flag(tmp_path, capsys):
     import json
 

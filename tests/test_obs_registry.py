@@ -140,24 +140,11 @@ def test_record_invocation_never_raises(tmp_path, monkeypatch):
     blocked.write_text("a file, not a directory")
     assert record_invocation("estimate", ["estimate"], 0, 0.1,
                              runs_dir=blocked) is None
-    # Disabled via env: nothing written, staged fields drained.
+    # Disabled via env: nothing written.
     monkeypatch.setenv(regmod.NO_REGISTRY_ENV, "1")
-    regmod.stage(manifest={"design": "X"})
     assert record_invocation("estimate", ["estimate"], 0, 0.1,
                              runs_dir=tmp_path / "runs") is None
-    assert regmod.take_staged() == {}
     assert not (tmp_path / "runs").exists()
-
-
-def test_record_invocation_consumes_staged(tmp_path):
-    regmod.stage(manifest={"design": "SuperNPU"},
-                 metrics={"counters": {"sim.runs": 1}})
-    entry = record_invocation("simulate", ["simulate", "supernpu"], 0, 0.5,
-                              runs_dir=tmp_path / "runs")
-    assert entry is not None
-    assert entry.manifest == {"design": "SuperNPU"}
-    assert entry.counters == {"sim.runs": 1}
-    assert regmod.take_staged() == {}  # drained
 
 
 def test_append_retries_past_reserved_names(registry, monkeypatch):
@@ -273,6 +260,44 @@ def test_cli_runs_json_envelopes(tmp_path, capsys):
     assert document["command"] == "runs"
     assert len(document["data"]["runs"]) == 1
     assert document["data"]["runs"][0]["command"] == "estimate"
+
+
+def test_cli_estimate_records_manifest(tmp_path, capsys):
+    """Every command notes its provenance, not only the obs-flag ones."""
+    runs = tmp_path / "runs"
+    assert main(["--runs-dir", str(runs), "estimate", "supernpu"]) == 0
+    entries, _ = RunRegistry(runs).entries()
+    assert len(entries) == 1
+    assert entries[0].manifest["design"] == "SuperNPU"
+    assert entries[0].manifest["technology"] == "rsfq"
+
+
+def test_cli_hotspot_records_one_entry_in_runs_dir(tmp_path, capsys):
+    """A profiled command is one run: one entry, in the --runs-dir given."""
+    runs = tmp_path / "hotspot-runs"
+    assert main(["--runs-dir", str(runs), "hotspot", "--hotspot-mode",
+                 "tracing", "simulate", "supernpu", "alexnet",
+                 "--batch", "1"]) == 0
+    capsys.readouterr()
+    entries, corrupt = RunRegistry(runs).entries()
+    assert corrupt == 0
+    assert len(entries) == 1
+    entry = entries[0]
+    assert entry.command == "hotspot"
+    assert entry.manifest["design"] == "SuperNPU"
+    assert entry.manifest["command"] == "simulate"
+    assert entry.hotspot is not None
+    # The default registry (SUPERNPU_RUNS_DIR, set by conftest) gets nothing.
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_hotspot_honours_no_registry(tmp_path, capsys):
+    runs = tmp_path / "hotspot-runs"
+    assert main(["--runs-dir", str(runs), "--no-registry", "hotspot",
+                 "--hotspot-mode", "tracing", "estimate", "supernpu"]) == 0
+    capsys.readouterr()
+    assert RunRegistry(runs).entries() == ([], 0)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_no_registry_flag(tmp_path, capsys):
